@@ -2,8 +2,8 @@
 
 The acceptance configuration for the transport layer — v2 strictly
 smaller than v1 and bit-exact through the codec, steady-state deltas
->= 5x smaller, binary+delta over the process executor >= 2x the v1
-thread server's goodput — lives in the scenario catalog
+>= 5x smaller, binary+delta onto the server's resident arrays >= 2x the
+v1 server's goodput — lives in the scenario catalog
 (``repro.scenarios``, scenario E15, bench runner ``e15-wire``); the
 acceptance test here is a thin shim over ``run_scenario``, which also
 refreshes the ``BENCH_e15.json`` working copy.  The serverless wire
@@ -67,8 +67,7 @@ def test_wire_bytes_smoke():
 
 
 def test_wire_goodput_acceptance():
-    """Binary+delta over the process executor >= 2x the goodput of the
-    v1-JSON thread server at an equal-or-better p99 (catalog scenario
-    E15)."""
+    """Binary+delta onto the resident arrays >= 2x the goodput of the
+    v1-JSON server at an equal-or-better p99 (catalog scenario E15)."""
     result = run_scenario("E15")
     assert result.acceptance_ok, result.failure_summary()

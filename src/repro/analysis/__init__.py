@@ -18,7 +18,6 @@ from .experiments import (
     experiment_e13_kernels,
     experiment_e14_service,
     experiment_e15_wire,
-    experiment_e16_shm,
     experiment_e17_cluster,
     wire_sizes,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "experiment_e13_kernels",
     "experiment_e14_service",
     "experiment_e15_wire",
-    "experiment_e16_shm",
     "experiment_e17_cluster",
     "loglog_slope",
     "measure_ratios",

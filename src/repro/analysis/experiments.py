@@ -70,7 +70,6 @@ __all__ = [
     "experiment_e13_kernels",
     "experiment_e14_service",
     "experiment_e15_wire",
-    "experiment_e16_shm",
     "experiment_e17_cluster",
     "wire_sizes",
     "ALL_EXPERIMENTS",
@@ -912,14 +911,14 @@ def experiment_e15_wire(
 
     One steady-traffic multi-shard workload, calibrated so a single
     v1-JSON codec round costs a fixed time on this host, offered at
-    ``overload`` times the v1 codec's own capacity.  The v1 leg (thread
-    executor) must fall behind — its codec cannot even serialize the
-    offered load on time — while the v2 binary+delta leg over the
-    process executor serves the same arrival stream with its event loop
-    barely working.  The middle row prices the full v2 binary snapshot,
-    which is only modestly smaller than JSON; the order-of-magnitude
-    win is the delta row, and it is the transport the optimized leg
-    actually runs on.
+    ``overload`` times the v1 codec's own capacity.  The v1 leg must
+    fall behind — its codec cannot even serialize the offered load on
+    time — while the v2 binary+delta leg, whose deltas land on the
+    server's resident arrays in O(changed sites), serves the same
+    arrival stream with its event loop barely working.  The last row
+    prices the full v2 binary snapshot, which is only modestly smaller
+    than JSON; the order-of-magnitude win is the delta row, and it is
+    the transport the optimized leg actually runs on.
     """
     from dataclasses import replace as _replace
 
@@ -939,8 +938,7 @@ def experiment_e15_wire(
     cases = (
         ("v1 json full / thread", ServerConfig(max_queue=64), lg,
          sizes["v1_full_bytes"], 1.0),
-        ("v2 delta / process x2",
-         ServerConfig(executor="process", process_workers=2, max_queue=64),
+        ("v2 delta", ServerConfig(max_queue=64),
          _replace(lg, protocol="binary", delta=True),
          sizes["v2_delta_bytes"], sizes["delta_reduction"]),
     )
@@ -965,133 +963,6 @@ def experiment_e15_wire(
         "Request bytes are measured frame sizes for the same epoch "
         "stream; the delta row is what the optimized leg sends once its "
         "per-shard bases are warm."
-    )
-    return report
-
-
-# ----------------------------------------------------------------------
-# E16 — shared-memory snapshot plane vs the inline worker-pipe codec.
-# ----------------------------------------------------------------------
-def _e16_run(server_config, loadgen_config, prime_passes: int = 2):
-    """One primed load-generation run against a fresh in-process server.
-
-    The priming passes walk the whole epoch stream through one delta
-    client first, so both legs start the measured window with warm
-    worker decision caches, delta bases, and (when enabled) published
-    ring slots — the steady state a long-running service lives in.
-    Returns the loadgen report, the post-run ``ping`` liveness, and the
-    server's metric counters.
-    """
-    from ..service import (
-        ServiceClient,
-        build_snapshots,
-        run_loadgen,
-        start_background,
-    )
-
-    snapshots = build_snapshots(loadgen_config)
-    with start_background(server_config) as handle:
-        with ServiceClient(
-            handle.host, handle.port, protocol="binary", delta=True
-        ) as primer:
-            for _ in range(prime_passes):
-                for snapshot in snapshots:
-                    primer.rebalance(
-                        snapshot, loadgen_config.k,
-                        shard=loadgen_config.shard,
-                    )
-        report = run_loadgen(handle.host, handle.port, loadgen_config)
-        with ServiceClient(handle.host, handle.port, timeout=5.0) as probe:
-            alive = probe.ping()
-            counters = probe.status()["metrics"]["counters"]
-    return report, alive, counters
-
-
-def experiment_e16_shm(
-    duration_s: float = 2.0,
-    deadline_ms: float = 300.0,
-    load_factor: float = 0.15,
-    rate_cap: float = 120.0,
-    steady_rate: float = 200.0,
-    seed: int = 16,
-) -> ExperimentReport:
-    """The shared-memory snapshot plane end to end: goodput and latency.
-
-    One churn-traffic workload (every epoch snapshot distinct, sparsely
-    changed), calibrated so a single inline worker-pipe marshal round
-    costs a fixed time on this host, offered at a rate that prices that
-    marshal at ``load_factor`` of a core.  The inline-codec leg pays
-    the marshal for every dispatched solve and falls over — queueing
-    past the client deadline — while the shm leg ships O(1) slot
-    references over the pipe and serves the same arrival stream with
-    headroom.  The steady row then measures the quiet-cluster fast
-    path on a small snapshot: decision-memo hits answered on the event
-    loop, no worker round trip, sub-millisecond p50.
-    """
-    from dataclasses import replace as _replace
-
-    from ..service import ServerConfig, calibrate_shm_workload
-
-    base, marshal_s = calibrate_shm_workload(seed=seed)
-    rate = min(rate_cap, load_factor / marshal_s)
-    slot_bytes = 1 << max(20, (16 + 24 * base.num_sites).bit_length())
-    report = ExperimentReport(
-        experiment_id="E16",
-        title="Shared-memory snapshot plane vs inline worker-pipe codec",
-        columns=("transport", "ipc MB out", "goodput/s", "p50 ms",
-                 "p99 ms", "ok", "late", "rej", "shed", "err", "alive"),
-    )
-    lg = _replace(base, rate=rate, duration_s=duration_s,
-                  deadline_ms=deadline_ms, connections=8)
-    # The overload legs disable the decision memo: after priming, the
-    # cycled epochs would otherwise be answered from the memo and the
-    # worker pipe — the transport under comparison — never touched.
-    cases = (
-        ("shm slot refs / process x2",
-         ServerConfig(executor="process", process_workers=2,
-                      max_queue=64, shm_slot_bytes=slot_bytes,
-                      decision_cache_size=0)),
-        ("inline arrays / process x2",
-         ServerConfig(executor="process", process_workers=2,
-                      max_queue=64, shm=False, decision_cache_size=0)),
-    )
-    for mode, server_config in cases:
-        run, alive, counters = _e16_run(server_config, lg)
-        report.add_row(
-            mode, counters.get("service.ipc_bytes_out", 0) / 1e6,
-            run.goodput_per_s, run.p50_ms, run.p99_ms, run.completed,
-            run.late, run.rejected, run.shed, run.errors, alive,
-        )
-    steady_lg = _replace(
-        base, num_sites=600, rate=steady_rate, duration_s=duration_s,
-        deadline_ms=100.0, connections=4,
-    )
-    steady_server = ServerConfig(
-        executor="process", process_workers=2, max_wait_ms=0.0
-    )
-    run, alive, counters = _e16_run(steady_server, steady_lg)
-    report.add_row(
-        "steady state (n=600, memo fast path)",
-        counters.get("service.ipc_bytes_out", 0) / 1e6,
-        run.goodput_per_s, run.p50_ms, run.p99_ms, run.completed,
-        run.late, run.rejected, run.shed, run.errors, alive,
-    )
-    report.notes.append(
-        f"calibrated workload: n={base.num_sites} m={base.num_servers} "
-        f"k={base.k}, churn traffic, duplicates=1; inline marshal round "
-        f"{marshal_s * 1e3:.2f}ms -> offered rate {rate:.0f}/s prices "
-        f"the inline leg's per-solve marshal at {load_factor:.0%} of a "
-        "core while the shm leg dispatches O(1) slot references.  The "
-        "goodput gap opens once the rate exceeds the inline leg's "
-        "capacity — host-speed dependent; bench_e16_shm hunts that "
-        "window explicitly — whereas the ipc column differs by orders "
-        "of magnitude at any rate.  Both legs are primed "
-        "with two full passes over the epoch stream before measuring.  "
-        "ipc MB out counts request bytes crossing worker pipes, "
-        "priming included — the shm column stays near zero because "
-        "snapshots cross as (slot, generation) references.  The steady "
-        "row is the decision-memo fast path: repeated fingerprints "
-        "answered on the event loop in sub-millisecond p50."
     )
     return report
 
@@ -1345,6 +1216,5 @@ ALL_EXPERIMENTS = {
     "E13": experiment_e13_kernels,
     "E14": experiment_e14_service,
     "E15": experiment_e15_wire,
-    "E16": experiment_e16_shm,
     "E17": experiment_e17_cluster,
 }

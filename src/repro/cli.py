@@ -31,13 +31,20 @@ SERVICE_COMMANDS = ("serve", "loadgen", "router")
 
 def _runnable_span() -> str:
     """Compact id summary for ``--help``, derived from the registry so
-    it never goes stale: ``"E1..E15, A1..A3"``."""
-    groups: dict[str, list[str]] = {}
+    it never goes stale: contiguous runs collapse and gaps show, as in
+    ``"E1..E15, E17, A1..A3"``."""
+    runs: list[list] = []  # [prefix, first, last]
     for key in ALL_RUNNABLE:
-        groups.setdefault(key.rstrip("0123456789"), []).append(key)
+        prefix = key.rstrip("0123456789")
+        number = int(key[len(prefix):])
+        if runs and runs[-1][0] == prefix and runs[-1][2] + 1 == number:
+            runs[-1][2] = number
+        else:
+            runs.append([prefix, number, number])
     return ", ".join(
-        keys[0] if len(keys) == 1 else f"{keys[0]}..{keys[-1]}"
-        for keys in groups.values()
+        f"{prefix}{first}" if first == last
+        else f"{prefix}{first}..{prefix}{last}"
+        for prefix, first, last in runs
     )
 
 

@@ -309,19 +309,6 @@ class RebalanceEngine:
         """
         return self._pending is not None
 
-    @property
-    def retained_snapshot(self) -> Instance | None:
-        """The snapshot the warm threshold tables still reference.
-
-        ``patch_tables`` diffs the next snapshot against this one, so
-        its arrays stay live between decisions.  Callers that hand the
-        engine borrowed array views (the service's shared-memory
-        snapshot plane) use this to know when the borrow ends: once a
-        later snapshot replaces it here, the old one's memory may be
-        recycled.
-        """
-        return self._tables.instance if self._tables is not None else None
-
     def cached(self, fingerprint: bytes) -> RebalanceResult | None:
         """Decision-cache lookup by fingerprint alone.
 

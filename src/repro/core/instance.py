@@ -29,13 +29,13 @@ def _as_readonly(arr: np.ndarray, values: object, name: str) -> np.ndarray:
     when that is safe.
 
     Already-read-only input arrays pass through untouched — this is the
-    zero-copy path the shared-memory snapshot plane relies on: a worker
-    builds ``np.frombuffer`` views over shm pages, marks them read-only,
-    and constructs an :class:`Instance` around them with no per-array
-    copy.  A writable array is defensively copied only when the caller
-    may still hold a writable alias (it *is* the input, or it is a view
-    into the input); arrays freshly materialized from lists or dtype
-    casts are frozen in place.
+    zero-copy path the v2 wire decode relies on: it builds read-only
+    ``np.frombuffer`` views over the received frame and constructs an
+    :class:`Instance` around them with no per-array copy.  A writable
+    array is defensively copied only when the caller may still hold a
+    writable alias (it *is* the input, or it is a view into the input);
+    arrays freshly materialized from lists or dtype casts are frozen in
+    place.
     """
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")

@@ -28,18 +28,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import secrets
-import struct
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
 
 from . import telemetry
 
 __all__ = [
-    "PersistentWorkerPool",
-    "SnapshotRing",
     "default_workers",
     "run_sweep",
     "run_until",
@@ -114,204 +108,17 @@ def run_sweep(
 
 
 # ----------------------------------------------------------------------
-# Shared-memory snapshot ring
+# Piped worker processes
 # ----------------------------------------------------------------------
-_SLOT_HEADER = 16  # generation (u64 little-endian) + job count (u64)
-_ARRAYS_PER_SLOT = 3  # sizes (f8), costs (f8), initial (i8)
-
-
-def _attach_untracked(name: str) -> Any:
-    """Attach to an existing segment without resource-tracker custody.
-
-    A spawned worker that merely *attaches* to a segment must not let
-    its resource tracker unlink the segment at exit — the serving
-    process owns the name.  Python 3.13 grew ``track=False`` for this.
-    Older interpreters share one tracker process across the pool, and
-    its registry is a plain set of names: attach-then-``unregister``
-    would erase the *owner's* registration too, so the portable
-    spelling is to suppress ``register`` for the duration of the
-    attach instead.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-    except TypeError:  # Python < 3.13: no track parameter
-        pass
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None  # type: ignore[assignment]
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-class SnapshotRing:
-    """A fixed-slot shared-memory ring of snapshot array triples.
-
-    One segment holds ``slots`` equal-size slots.  Each slot stores a
-    16-byte header (a monotonically increasing *generation* counter and
-    the job count ``n``) followed by three 8-byte-aligned arrays:
-    ``sizes`` (float64), ``costs`` (float64), ``initial`` (int64) — the
-    variable-length payload of one :class:`~repro.core.instance.Instance`.
-
-    The serving process :meth:`create`\\ s the ring, writes each decoded
-    snapshot exactly once, and is the only writer; worker processes
-    :meth:`attach` and rebuild read-only ``np.frombuffer`` views over
-    the same pages, so a solve request crossing the worker pipe shrinks
-    to ``(slot, generation, n)``.  The generation counter is the
-    recycling guard: the owner bumps it on every (re)write, a reader
-    passes the generation it was promised, and :meth:`read` returns
-    ``None`` on any mismatch instead of views over foreign data.  The
-    owner's allocation protocol (pinning slots while requests are in
-    flight) makes a mismatch unreachable in normal operation; the check
-    turns accounting bugs and ring restarts into an explicit
-    stale-segment signal rather than silent corruption.
-
-    Lifecycle: the creating process unlinks the segment in
-    :meth:`close`; attached readers only unmap.  Readers detach from
-    their resource tracker so a worker exiting never unlinks the name
-    out from under the owner.
-    """
-
-    def __init__(
-        self, shm: Any, slots: int, slot_bytes: int, *, owner: bool
-    ) -> None:
-        self._shm = shm
-        self.slots = slots
-        self.slot_bytes = slot_bytes
-        self._owner = owner
-
-    @classmethod
-    def create(cls, slots: int, slot_bytes: int) -> "SnapshotRing":
-        """Allocate a fresh ring (the caller becomes the owner)."""
-        from multiprocessing import shared_memory
-
-        if slots <= 0:
-            raise ValueError("slots must be positive")
-        if slot_bytes <= _SLOT_HEADER:
-            raise ValueError(f"slot_bytes must exceed {_SLOT_HEADER}")
-        if slot_bytes % 8:
-            raise ValueError("slot_bytes must be 8-byte aligned")
-        name = f"repro-ring-{os.getpid()}-{secrets.token_hex(4)}"
-        shm = shared_memory.SharedMemory(
-            name=name, create=True, size=slots * slot_bytes
-        )
-        return cls(shm, slots, slot_bytes, owner=True)
-
-    @classmethod
-    def attach(cls, name: str, slots: int, slot_bytes: int) -> "SnapshotRing":
-        """Map an existing ring read-mostly (worker side)."""
-        return cls(_attach_untracked(name), slots, slot_bytes, owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @staticmethod
-    def needed_bytes(n: int) -> int:
-        """Slot bytes an ``n``-job snapshot requires (header included)."""
-        return _SLOT_HEADER + 8 * _ARRAYS_PER_SLOT * n
-
-    def fits(self, n: int) -> bool:
-        """Whether an ``n``-job snapshot fits in one slot."""
-        return self.needed_bytes(n) <= self.slot_bytes
-
-    def _offsets(self, slot: int, n: int) -> tuple[int, int, int]:
-        base = slot * self.slot_bytes + _SLOT_HEADER
-        return base, base + 8 * n, base + 16 * n
-
-    def write(
-        self,
-        slot: int,
-        generation: int,
-        sizes: np.ndarray,
-        costs: np.ndarray,
-        initial: np.ndarray,
-    ) -> None:
-        """Owner-only: publish one snapshot into ``slot``.
-
-        The caller guarantees no reader holds the slot (its allocation
-        protocol); the generation lands with the data, so a reader
-        presenting a stale generation can never validate against the
-        new contents.
-        """
-        if not self._owner:
-            raise RuntimeError("only the ring owner writes slots")
-        n = int(sizes.shape[0])
-        if not self.fits(n):
-            raise ValueError(f"{n}-job snapshot exceeds slot_bytes")
-        buf = self._shm.buf
-        o_sizes, o_costs, o_initial = self._offsets(slot, n)
-        np.frombuffer(buf, dtype="<f8", count=n, offset=o_sizes)[:] = sizes
-        np.frombuffer(buf, dtype="<f8", count=n, offset=o_costs)[:] = costs
-        np.frombuffer(buf, dtype="<i8", count=n, offset=o_initial)[:] = initial
-        struct.pack_into("<QQ", buf, slot * self.slot_bytes, generation, n)
-
-    def read(
-        self, slot: int, generation: int, n: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Read-only views of ``slot``, or ``None`` if it was recycled.
-
-        The views alias the shared pages — zero copies.  They stay
-        valid for as long as the owner keeps the slot's generation (the
-        owner pins slots referenced by in-flight work and by worker
-        engines' retained snapshots).
-        """
-        if not (0 <= slot < self.slots):
-            return None
-        header = struct.unpack_from("<QQ", self._shm.buf, slot * self.slot_bytes)
-        if header[0] != generation or header[1] != n:
-            return None
-        buf = self._shm.buf
-        o_sizes, o_costs, o_initial = self._offsets(slot, n)
-        sizes = np.frombuffer(buf, dtype="<f8", count=n, offset=o_sizes)
-        costs = np.frombuffer(buf, dtype="<f8", count=n, offset=o_costs)
-        initial = np.frombuffer(buf, dtype="<i8", count=n, offset=o_initial)
-        for arr in (sizes, costs, initial):
-            arr.setflags(write=False)
-        return sizes, costs, initial
-
-    def close(self) -> None:
-        """Unmap (and, for the owner, unlink) the segment.
-
-        Safe to call twice.  A reader that still exports live views
-        (a worker's engine retaining its last snapshot) keeps its
-        mapping until process exit — unmapping is best-effort.
-        """
-        if self._shm is None:
-            return
-        shm, self._shm = self._shm, None
-        try:
-            shm.close()
-        except BufferError:  # live frombuffer views keep the map alive
-            pass
-        if self._owner:
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-
-# ----------------------------------------------------------------------
-# Persistent workers: long-lived processes with addressable state
-# ----------------------------------------------------------------------
-_OK = b"\x00"
-_ERR = b"\x01"
-
-
 def spawn_piped_process(target, *args, daemon: bool = True):
     """Start a ``spawn``-context process wired to a duplex pipe.
 
     ``target(child_conn, *args)`` runs in the child; the parent gets
     ``(process, parent_conn)``.  The child's end is closed in the
-    parent so EOF propagates when the child exits — the idiom both
-    :class:`PersistentWorkerPool` and the sharded-router control plane
-    build their pipe protocols on.  ``spawn`` (never fork): forking a
-    process that already runs an asyncio loop plus solver threads is
-    undefined behavior.
+    parent so EOF propagates when the child exits — the idiom the
+    sharded-router control plane builds its pipe protocol on.  ``spawn``
+    (never fork): forking a process that already runs an asyncio loop
+    plus solver threads is undefined behavior.
     """
     ctx = multiprocessing.get_context("spawn")
     parent, child = ctx.Pipe()
@@ -319,176 +126,6 @@ def spawn_piped_process(target, *args, daemon: bool = True):
     proc.start()
     child.close()
     return proc, parent
-
-
-def _persistent_worker_loop(conn, handler, initializer, initargs) -> None:
-    """Worker-process main: init once, then serve requests until EOF.
-
-    The reply wire format is one status byte (0 = ok payload follows,
-    1 = utf-8 error text follows) so a handler bug surfaces as a
-    :class:`RuntimeError` in the parent instead of a hung pipe.
-    """
-    try:
-        if initializer is not None:
-            initializer(*initargs)
-    except BaseException as exc:  # report init failure, then exit
-        try:
-            conn.send_bytes(_ERR + f"{type(exc).__name__}: {exc}".encode())
-        finally:
-            conn.close()
-        return
-    conn.send_bytes(_OK)  # ready handshake
-    while True:
-        try:
-            payload = conn.recv_bytes()
-        except (EOFError, OSError):
-            break
-        if not payload:  # empty request = orderly shutdown
-            break
-        try:
-            reply = handler(payload)
-        except BaseException as exc:
-            conn.send_bytes(_ERR + f"{type(exc).__name__}: {exc}".encode())
-            continue
-        conn.send_bytes(_OK + reply)
-    conn.close()
-
-
-class PersistentWorkerPool:
-    """N long-lived worker processes, each owning process-local state.
-
-    :class:`~concurrent.futures.ProcessPoolExecutor` (and
-    :func:`run_sweep` over it) treats workers as interchangeable —
-    right for stateless sweeps, wrong for stateful servers: the service
-    layer's multi-process shard executor needs every request for one
-    shard to land in the *same* process, where that shard's warm
-    :class:`~repro.core.engine.RebalanceEngine` lives.  This pool keeps
-    the workers addressable: the caller picks the worker index, so
-    affinity is the caller's (deterministic) routing function.
-
-    Messages are raw ``bytes`` both ways (``Connection.send_bytes`` —
-    no pickling; the service marshals arrays with its binary wire
-    codec).  ``handler`` must be a picklable module-level function
-    ``bytes -> bytes``; ``initializer(*initargs)`` runs once per worker
-    before the ready handshake.  Workers are started with the ``spawn``
-    context: forking a process that already runs an asyncio loop plus
-    solver threads is undefined behavior, and spawn keeps the workers'
-    import state explicit.
-
-    Concurrency contract: ``request`` is not thread-safe; exactly one
-    thread drives the pool (the service's single solve-executor
-    thread).  A worker that dies mid-request surfaces as
-    :class:`RuntimeError` from ``request``.
-    """
-
-    def __init__(
-        self,
-        handler: Callable[[bytes], bytes],
-        workers: int,
-        *,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-        ring: SnapshotRing | None = None,
-    ) -> None:
-        if workers <= 0:
-            raise ValueError("workers must be positive")
-        # The pool owns the optional snapshot ring's lifetime: workers
-        # attach to it during init (the ready handshake covers attach
-        # failures), and close() unlinks it only after every worker has
-        # exited — including the construction-failure path below.
-        self._ring = ring
-        self._procs = []
-        self._conns = []
-        for _ in range(workers):
-            proc, parent = spawn_piped_process(
-                _persistent_worker_loop, handler, initializer, initargs
-            )
-            self._procs.append(proc)
-            self._conns.append(parent)
-        for index, conn in enumerate(self._conns):
-            try:
-                ready = conn.recv_bytes()
-            except (EOFError, OSError) as exc:
-                self.close()
-                raise RuntimeError(f"worker {index} died during startup") from exc
-            if ready[:1] == _ERR:
-                message = ready[1:].decode("utf-8", "replace")
-                self.close()
-                raise RuntimeError(f"worker {index} failed to initialize: {message}")
-
-    @property
-    def workers(self) -> int:
-        return len(self._procs)
-
-    def request(self, assignments: dict[int, bytes]) -> dict[int, bytes]:
-        """One round: send each worker its payload, gather every reply.
-
-        ``assignments`` maps worker index -> request bytes.  All sends
-        complete before the first receive, so the addressed workers run
-        concurrently; the reply dict has the same keys.
-
-        Every addressed worker's reply is drained before any error is
-        raised — raising on the first ``_ERR`` would leave the other
-        workers' replies sitting in their pipes, and the next round
-        would read those stale bytes as its own answers.  A dead worker
-        still raises (its pipe has nothing left to drain), reported
-        after the remaining replies are consumed.
-        """
-        for index, payload in assignments.items():
-            if not payload:
-                raise ValueError("empty payloads are reserved for shutdown")
-            self._conns[index].send_bytes(payload)
-        replies: dict[int, bytes] = {}
-        dead: list[int] = []
-        failed: list[tuple[int, str]] = []
-        for index in assignments:
-            try:
-                reply = self._conns[index].recv_bytes()
-            except (EOFError, OSError):
-                dead.append(index)
-                continue
-            if reply[:1] == _ERR:
-                failed.append((index, reply[1:].decode("utf-8", "replace")))
-            else:
-                replies[index] = reply[1:]
-        if dead:
-            raise RuntimeError(f"worker {dead[0]} died mid-request")
-        if failed:
-            index, message = failed[0]
-            raise RuntimeError(f"worker {index} failed: {message}")
-        return replies
-
-    def broadcast(self, payload: bytes) -> dict[int, bytes]:
-        """``request`` to every worker at once (stats, resets)."""
-        return self.request({index: payload for index in range(self.workers)})
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Orderly shutdown: EOF every pipe, join, terminate stragglers."""
-        for conn in self._conns:
-            try:
-                conn.send_bytes(b"")
-            except (OSError, ValueError):
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for proc in self._procs:
-            proc.join(timeout)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout)
-        self._procs = []
-        self._conns = []
-        if self._ring is not None:
-            self._ring.close()
-            self._ring = None
-
-    def __enter__(self) -> "PersistentWorkerPool":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 def run_until(

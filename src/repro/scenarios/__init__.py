@@ -1,7 +1,7 @@
 """ScenarioCatalog: declarative scenario configs + one-command repro.
 
-Every reproducible result — the E1–E18 experiment tables and the
-BENCH acceptance records — is described by one declarative
+Every reproducible result — the E1–E15 and E17–E19 experiment tables
+and the BENCH acceptance records — is described by one declarative
 :class:`~repro.scenarios.spec.Scenario` in
 :data:`~repro.scenarios.catalog.CATALOG`, composing a workload axis,
 a traffic axis and a solver/transport axis with tier-resolved params,

@@ -278,7 +278,7 @@ def bench_e15(params: dict[str, Any], log: Log):
 
     baseline, base_alive, base_status = run(ServerConfig(max_queue=64), lg)
     optimized, opt_alive, opt_status = run(
-        ServerConfig(executor="process", process_workers=2, max_queue=64),
+        ServerConfig(max_queue=64),
         replace(lg, protocol="binary", delta=True),
     )
 
@@ -287,7 +287,7 @@ def bench_e15(params: dict[str, Any], log: Log):
         f"{sizes['v2_full_bytes']:.0f}B ({sizes['binary_reduction']:.2f}x), "
         f"delta {sizes['v2_delta_bytes']:.0f}B "
         f"({sizes['delta_reduction']:.0f}x)")
-    log(f"[E15] goodput at {rate:.0f}/s: v2+delta+process "
+    log(f"[E15] goodput at {rate:.0f}/s: v2+delta "
         f"{optimized.goodput_per_s:.1f}/s (p99 {optimized.p99_ms:.1f}ms) vs "
         f"v1 json {baseline.goodput_per_s:.1f}/s "
         f"(p99 {baseline.p99_ms:.1f}ms): {ratio:.1f}x")
@@ -309,8 +309,10 @@ def bench_e15(params: dict[str, Any], log: Log):
         "errors_total": baseline.errors + optimized.errors,
         "accounted_ok": _accounted(baseline) and _accounted(optimized),
         "alive_all": bool(base_alive and opt_alive),
-        "optimized_executor_process": bool(
-            opt_status["config"]["executor"] == "process"
+        # The optimized leg's deltas landed on the resident tips.
+        "optimized_resident_path": bool(
+            opt_status["metrics"]["counters"].get("service.resident_deltas", 0)
+            > 0
         ),
         "queues_drained": bool(
             base_status["queue"]["depth"] == 0
@@ -328,198 +330,9 @@ def bench_e15(params: dict[str, Any], log: Log):
         },
         "wire": sizes,
         "baseline_v1_thread": _leg_record(baseline, base_alive),
-        "optimized_v2_delta_process": _leg_record(optimized, opt_alive),
+        "optimized_v2_delta": _leg_record(optimized, opt_alive),
         "goodput_ratio": ratio,
     }
-    return metrics, detail
-
-
-# ----------------------------------------------------------------------
-# E16 — shm snapshot plane vs the inline worker-pipe codec.
-# ----------------------------------------------------------------------
-def bench_e16(params: dict[str, Any], log: Log):
-    import numpy as np
-
-    from ..core import make_instance
-    from ..service import (
-        ServerConfig,
-        ServiceClient,
-        build_snapshots,
-        calibrate_shm_workload,
-        run_loadgen,
-        start_background,
-    )
-
-    duration_s = params.get("duration_s", 2.0)
-    deadline_ms = params.get("deadline_ms", 300.0)
-    load_factor = params.get("load_factor", 0.12)
-    rate_cap = params.get("rate_cap", 100.0)
-    rate_step = params.get("rate_step", 1.15)
-    rate_leap = params.get("rate_leap", 1.3)
-    max_rounds = params.get("max_rounds", 8)
-    steady_rate = params.get("steady_rate", 200.0)
-    steady_deadline_ms = params.get("steady_deadline_ms", 100.0)
-    steady_sites = params.get("steady_sites", 600)
-    ipc_sites = tuple(params.get("ipc_sites", (6_000, 24_000)))
-
-    def primed_run(server_config, loadgen_config, prime_passes=2):
-        # Walk the epoch stream through one delta client first so both
-        # legs start with warm worker caches, delta bases, ring slots.
-        snapshots = build_snapshots(loadgen_config)
-        with start_background(server_config) as handle:
-            with ServiceClient(
-                handle.host, handle.port, protocol="binary", delta=True
-            ) as primer:
-                for _ in range(prime_passes):
-                    for snapshot in snapshots:
-                        primer.rebalance(
-                            snapshot, loadgen_config.k,
-                            shard=loadgen_config.shard,
-                        )
-            report = run_loadgen(handle.host, handle.port, loadgen_config)
-            with ServiceClient(handle.host, handle.port, timeout=5.0) as probe:
-                alive = probe.ping()
-                status = probe.status()
-        return report, alive, status
-
-    # --- part 1: solve-request bytes must not scale with the snapshot.
-    per_solve = {}
-    shm_writes_once = True
-    for n in ipc_sites:
-        rng = np.random.default_rng(n)
-        inst = make_instance(
-            sizes=rng.uniform(1.0, 9.0, n),
-            initial=rng.integers(0, 12, n),
-            num_processors=12,
-        )
-        config = ServerConfig(executor="process", process_workers=1,
-                              shm_slot_bytes=1 << 20)
-        with start_background(config) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                client.rebalance(inst, 8, shard="ipc")
-                counters = client.status()["metrics"]["counters"]
-        shm_writes_once &= counters.get("service.shm_writes") == 1
-        per_solve[n] = counters["service.ipc_bytes_out"]
-    small_n, big_n = min(per_solve), max(per_solve)
-    ipc_small, ipc_big = per_solve[small_n], per_solve[big_n]
-    ipc_flat = bool(ipc_big < 8 * big_n and ipc_big <= 1.5 * ipc_small)
-    log(f"[E16] solve ipc bytes: n={small_n} -> {ipc_small}B, "
-        f"n={big_n} -> {ipc_big}B (flat={ipc_flat})")
-
-    # --- part 2: hunt the rate window only the shm transport carries.
-    base, marshal_s = calibrate_shm_workload()
-    rate = min(rate_cap, load_factor / marshal_s)
-    slot_bytes = 1 << max(20, (16 + 24 * base.num_sites).bit_length())
-    # Decision memo off on both legs: the cycled epochs would otherwise
-    # be answered from the memo and the worker pipe — the transport
-    # under comparison — never touched.
-    shm_config = ServerConfig(executor="process", process_workers=2,
-                              max_queue=64, shm_slot_bytes=slot_bytes,
-                              decision_cache_size=0)
-    inline_config = ServerConfig(executor="process", process_workers=2,
-                                 max_queue=64, shm=False,
-                                 decision_cache_size=0)
-
-    attempts = []
-    found = None
-    for _ in range(max_rounds):
-        lg = replace(base, rate=rate, duration_s=duration_s,
-                     deadline_ms=deadline_ms, connections=8)
-        inline_leg, inline_alive, inline_status = primed_run(
-            inline_config, lg)
-        if inline_leg.goodput_per_s >= 0.6 * rate:
-            # Below the inline collapse edge: probe higher — coarsely
-            # with full margin, finely once the leg strains.
-            attempts.append({
-                "rate_per_s": rate, "outcome": "inline sustained",
-                "inline_goodput_per_s": inline_leg.goodput_per_s,
-            })
-            log(f"[E16] {rate:.0f}/s: inline sustained "
-                f"({inline_leg.goodput_per_s:.1f}/s), climbing")
-            strained = inline_leg.goodput_per_s < 0.95 * rate
-            rate *= rate_step if strained else rate_leap
-            continue
-        shm_leg, shm_alive, shm_status = primed_run(shm_config, lg)
-        ratio = shm_leg.goodput_per_s / max(inline_leg.goodput_per_s, 1e-9)
-        attempts.append({
-            "rate_per_s": rate, "outcome": f"ratio {ratio:.1f}x",
-            "shm_goodput_per_s": shm_leg.goodput_per_s,
-            "inline_goodput_per_s": inline_leg.goodput_per_s,
-        })
-        log(f"[E16] {rate:.0f}/s: shm {shm_leg.goodput_per_s:.1f}/s vs "
-            f"inline {inline_leg.goodput_per_s:.1f}/s: {ratio:.1f}x")
-        if shm_leg.goodput_per_s >= 0.6 * rate:
-            if ratio >= 5.0:
-                found = (rate, shm_leg, shm_alive, shm_status,
-                         inline_leg, inline_alive, inline_status, ratio)
-                break
-            rate *= rate_step   # inline only grazing its edge: deepen
-        else:
-            rate /= rate_step   # window slid below this rate: back off
-
-    # --- part 3: the quiet-cluster decision-memo fast path.
-    steady_leg, steady_alive, steady_status = primed_run(
-        ServerConfig(executor="process", process_workers=2, max_wait_ms=0.0),
-        replace(base, num_sites=steady_sites, rate=steady_rate,
-                duration_s=duration_s, deadline_ms=steady_deadline_ms,
-                connections=4),
-    )
-    log(f"[E16] steady (n={steady_sites}, {steady_rate:.0f}/s): p50 "
-        f"{steady_leg.p50_ms:.3f}ms p99 {steady_leg.p99_ms:.3f}ms")
-
-    metrics = {
-        "ipc_flat_across_n": ipc_flat,
-        "ipc_single_shm_write": bool(shm_writes_once),
-        "found_differential_rate": found is not None,
-        "steady_p50_ms": steady_leg.p50_ms,
-        "steady_clean": bool(
-            steady_leg.errors == 0 and steady_leg.late == 0
-            and _accounted(steady_leg) and steady_alive
-        ),
-    }
-    detail = {
-        "workload": {
-            "num_sites": base.num_sites, "num_servers": base.num_servers,
-            "k": base.k, "traffic": base.traffic, "duplicates": 1,
-            "marshal_round_ms": 1e3 * marshal_s,
-            "calibrated_rate_per_s": min(rate_cap, load_factor / marshal_s),
-            "duration_s": duration_s, "deadline_ms": deadline_ms,
-            "load_factor": load_factor,
-        },
-        "ipc_bytes_per_solve": {str(n): per_solve[n] for n in per_solve},
-        "attempts": attempts,
-        "steady_state_memo": _leg_record(steady_leg, steady_alive),
-    }
-    if found is not None:
-        rate, shm_leg, shm_alive, shm_status, \
-            inline_leg, inline_alive, inline_status, ratio = found
-        shm_ipc = shm_status["metrics"]["counters"]["service.ipc_bytes_out"]
-        inline_ipc = (
-            inline_status["metrics"]["counters"]["service.ipc_bytes_out"]
-        )
-        log(f"[E16] ipc request bytes: shm {shm_ipc / 1e6:.2f}MB vs inline "
-            f"{inline_ipc / 1e6:.2f}MB")
-        metrics.update({
-            "goodput_ratio": ratio,
-            "shm_sustained": bool(shm_leg.goodput_per_s >= 0.6 * rate),
-            "shm_ipc_below_tenth_of_inline": bool(
-                shm_ipc < 0.1 * inline_ipc
-            ),
-            "errors_total": shm_leg.errors + inline_leg.errors,
-            "accounted_ok": _accounted(shm_leg) and _accounted(inline_leg),
-            "alive_all": bool(shm_alive and inline_alive),
-            "queues_drained": bool(
-                shm_status["queue"]["depth"] == 0
-                and inline_status["queue"]["depth"] == 0
-            ),
-        })
-        detail.update({
-            "rate_per_s": rate,
-            "shm_plane_process": _leg_record(shm_leg, shm_alive),
-            "inline_codec_process": _leg_record(inline_leg, inline_alive),
-            "goodput_ratio": ratio,
-            "ipc_bytes_out": {"shm": shm_ipc, "inline": inline_ipc},
-        })
     return metrics, detail
 
 
@@ -1261,7 +1074,6 @@ BENCH_RUNNERS: dict[str, Callable[[dict, Log], tuple[dict, dict]]] = {
     "e13-kernels": bench_e13,
     "e14-service": bench_e14,
     "e15-wire": bench_e15,
-    "e16-shm": bench_e16,
     "e17-cluster": bench_e17,
     "e18-scale": bench_e18,
     "e19-dataplane": bench_e19,

@@ -1,10 +1,11 @@
 """The ScenarioCatalog: every reproducible result as a declarative config.
 
-One :class:`~repro.scenarios.spec.Scenario` per experiment (E1–E18) and
-ablation (A1–A3), each composing the three axes — workload (what the
-instances are), traffic (how load evolves and arrives), transport (what
-decides and how bytes move) — with tier-resolved parameters, machine-
-readable acceptance checks and a drift policy.  ``python -m repro
+One :class:`~repro.scenarios.spec.Scenario` per experiment (E1–E15 and
+E17–E19; E16 is retired) and ablation (A1–A3), each composing the three
+axes — workload (what the instances are), traffic (how load evolves and
+arrives), transport (what decides and how bytes move) — with
+tier-resolved parameters, machine-readable acceptance checks and a
+drift policy.  ``python -m repro
 reproduce`` is a pure interpreter over this table: adding a scenario
 here (a vector-load family, a stochastic-size family, a router HA
 drill) is the *entire* cost of making it reproducible, checkable and
@@ -247,7 +248,7 @@ _SCENARIOS = (
         workload=WorkloadAxis(family="calibrated", calibration="wire",
                               sizes="drifting"),
         traffic=TrafficAxis(kind="drift", arrival="open-loop"),
-        transport=TransportAxis(wire="both", executor="both"),
+        transport=TransportAxis(wire="both", executor="thread"),
         table="E15",
         table_tiers=_SERVICE_BENCH_TABLE_TIERS,
         bench="e15-wire",
@@ -263,13 +264,13 @@ _SCENARIOS = (
             Check("errors_total", "==", 0),
             Check("accounted_ok", "truthy"),
             Check("alive_all", "truthy"),
-            Check("optimized_executor_process", "truthy"),
+            Check("optimized_resident_path", "truthy"),
             Check("queues_drained", "truthy"),
         ),
         drift=DriftPolicy(
             exact=("v2_frame_smaller", "v2_full_smaller", "decode_bit_exact",
                    "errors_total", "accounted_ok", "alive_all",
-                   "optimized_executor_process", "queues_drained",
+                   "optimized_resident_path", "queues_drained",
                    "optimized_p99_le_baseline"),
             # goodput_ratio's denominator is the v1 leg at overload
             # collapse (observed 45x..416x run to run) -- acceptance
@@ -280,45 +281,6 @@ _SCENARIOS = (
         description="decode_bit_exact is E15's byte-identity contract.",
     ),
     Scenario(
-        scenario_id="E16",
-        title="Zero-copy shm snapshot plane vs worker-pipe codec",
-        workload=WorkloadAxis(family="calibrated", calibration="shm",
-                              sizes="drifting"),
-        traffic=TrafficAxis(kind="steady+drift", arrival="open-loop"),
-        transport=TransportAxis(wire="v2+delta", executor="process+shm"),
-        table="E16",
-        table_tiers=_SERVICE_BENCH_TABLE_TIERS,
-        bench="e16-shm",
-        bench_json="BENCH_e16.json",
-        params={"bench": {"load_factor": 0.12, "rate_step": 1.15,
-                          "rate_leap": 1.3, "max_rounds": 8}},
-        acceptance=(
-            Check("ipc_flat_across_n", "truthy"),
-            Check("ipc_single_shm_write", "truthy"),
-            Check("found_differential_rate", "truthy"),
-            Check("goodput_ratio", ">=", 5.0),
-            Check("shm_sustained", "truthy"),
-            Check("shm_ipc_below_tenth_of_inline", "truthy"),
-            Check("errors_total", "==", 0),
-            Check("accounted_ok", "truthy"),
-            Check("alive_all", "truthy"),
-            Check("queues_drained", "truthy"),
-            Check("steady_p50_ms", "<", 1.0),
-            Check("steady_clean", "truthy"),
-        ),
-        drift=DriftPolicy(
-            exact=("ipc_flat_across_n", "ipc_single_shm_write",
-                   "found_differential_rate", "steady_clean",
-                   "errors_total", "accounted_ok", "alive_all",
-                   "queues_drained", "shm_sustained",
-                   "shm_ipc_below_tenth_of_inline"),
-            # goodput_ratio comes from the hunted collapse window
-            # (historically 5x..80x) -- acceptance floor only.
-            band={"steady_p50_ms": 4.0},
-            table_exact_columns=("transport", "alive"),
-        ),
-    ),
-    Scenario(
         scenario_id="E17",
         title="Cluster tier: scale-out, kill -9 failover, router "
               "trajectory transparency",
@@ -326,7 +288,7 @@ _SCENARIOS = (
                               sizes="drifting"),
         traffic=TrafficAxis(kind="diurnal+flash", arrival="open-loop",
                             failure="kill9@midrun"),
-        transport=TransportAxis(wire="v2+delta", executor="process",
+        transport=TransportAxis(wire="v2+delta", executor="thread",
                                 router_backends=2),
         table="E17",
         table_tiers=_SERVICE_BENCH_TABLE_TIERS,
@@ -358,7 +320,7 @@ _SCENARIOS = (
                               seed=18, sizes="zipf"),
         traffic=TrafficAxis(kind="paced-churn", arrival="paced", epochs=24),
         transport=TransportAxis(engine="incremental", wire="v2+delta",
-                                executor="process", router_backends=3),
+                                executor="thread", router_backends=3),
         bench="e18-scale",
         bench_json="BENCH_e18.json",
         params={"bench": {"backends": 3, "shards": 6, "servers": 64,
@@ -403,7 +365,7 @@ _SCENARIOS = (
         workload=WorkloadAxis(family="drifting", sizes="drifting", seed=19),
         traffic=TrafficAxis(kind="open-loop+diurnal", arrival="open-loop",
                             failure="kill9@midrun"),
-        transport=TransportAxis(wire="v2", executor="process",
+        transport=TransportAxis(wire="v2", executor="thread",
                                 router_backends=2, router_workers="1..N"),
         bench="e19-dataplane",
         bench_json="BENCH_e19.json",

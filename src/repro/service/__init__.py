@@ -11,9 +11,9 @@ through the same pipeline an inference-serving stack uses::
 
     connections → admission queue → micro-batcher → engine pool
                   (bounded,         (max size +      (per-shard warm
-                   reject +          max wait,        engines; thread
-                   deadline shed)    dedupe)          fan-out or process
-                                                      workers w/ affinity)
+                   reject +          max wait,        engines over
+                   deadline shed)    dedupe)          resident arrays,
+                                                      thread fan-out)
 
 Module map: :mod:`~repro.service.protocol` (framing),
 :mod:`~repro.service.admission` (bounded queue + backpressure),
@@ -61,7 +61,6 @@ from .loadgen import (
     LoadGenConfig,
     LoadGenReport,
     build_snapshots,
-    calibrate_shm_workload,
     calibrate_workload,
     calibrate_wire_workload,
     run_churn_stream,
@@ -132,7 +131,6 @@ __all__ = [
     "ShardState",
     "UniqueSolve",
     "build_snapshots",
-    "calibrate_shm_workload",
     "calibrate_workload",
     "calibrate_wire_workload",
     "decode_body",

@@ -40,10 +40,7 @@ class PendingRequest:
 
     ``deadline`` is an absolute :func:`asyncio.AbstractEventLoop.time`
     instant (``None`` = no deadline).  ``future`` resolves to the
-    response dict the connection handler writes back.  ``shm`` is the
-    snapshot's ``(slot, generation)`` token in the server's shared-
-    memory ring when the snapshot plane holds it (``None`` otherwise);
-    the submitting handler pins the slot for this request's lifetime.
+    response dict the connection handler writes back.
     """
 
     shard: str
@@ -53,14 +50,12 @@ class PendingRequest:
     enqueued_at: float
     deadline: float | None
     future: asyncio.Future = field(repr=False)
-    shm: tuple[int, int] | None = None
-    # Resident-path fields: ``target_seq`` names the shard's frame-log
-    # position this request's fingerprint corresponds to (``instance``
-    # is then ``None`` — the solve plane replays frames instead of
-    # decoding a snapshot); ``install`` asks the solve plane to reseed
-    # its resident arrays from ``instance`` first; ``moves_only``
-    # requests the compact response form (moved sites, not the full
-    # mapping).
+    # Resident-path fields: ``frames`` are the committed delta frames
+    # this request carries to the solve plane (``instance`` is then
+    # ``None`` — the solve plane replays frames instead of decoding a
+    # snapshot); ``install`` asks the solve plane to reseed its
+    # resident arrays from ``instance`` first; ``moves_only`` requests
+    # the compact response form (moved sites, not the full mapping).
     install: bool = False
     moves_only: bool = False
     frames: list = field(default_factory=list)

@@ -62,19 +62,12 @@ class BatchConfig:
 
 @dataclass
 class UniqueSolve:
-    """One distinct snapshot within a batch and everyone awaiting it.
-
-    ``shm`` is the snapshot's ``(slot, generation)`` ring token,
-    inherited from the first request of the group: deduped requests
-    share one fingerprint, hence one slot, and each of them holds its
-    own pin, so the token outlives the whole solve.
-    """
+    """One distinct snapshot within a batch and everyone awaiting it."""
 
     shard: str
     k: int
     instance: Instance | None
     requests: list[PendingRequest] = field(default_factory=list)
-    shm: tuple[int, int] | None = None
     # Resident-path plumbing, inherited from the first request of the
     # group (see PendingRequest).
     install: bool = False
@@ -143,7 +136,7 @@ class MicroBatcher:
                 continue
             solve = UniqueSolve(
                 shard=request.shard, k=request.k, instance=request.instance,
-                requests=[request], shm=request.shm,
+                requests=[request],
                 install=request.install, moves_only=request.moves_only,
                 frames=request.frames, apply_only=request.apply_only,
             )

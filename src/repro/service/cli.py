@@ -77,40 +77,16 @@ def _server_arguments(parser: argparse.ArgumentParser) -> None:
              "a synthetic service-time floor)",
     )
     parser.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="where shard engines live: this process (thread fan-out) "
-        "or a pool of long-lived worker processes with shard affinity",
-    )
-    parser.add_argument(
-        "--process-workers", type=int, default=2,
-        help="worker processes for --executor process",
-    )
-    parser.add_argument(
-        "--no-shm", action="store_true",
-        help="disable the shared-memory snapshot plane (--executor "
-        "process defaults to shm: workers read snapshots zero-copy "
-        "from a shm ring instead of receiving arrays over the pipe)",
-    )
-    parser.add_argument(
-        "--shm-slots", type=int, default=128,
-        help="snapshot ring slots (distinct live snapshots)",
-    )
-    parser.add_argument(
-        "--shm-slot-bytes", type=int, default=1 << 20,
-        help="bytes per ring slot (bounds the largest shm snapshot; "
-        "bigger snapshots fall back to the inline codec path)",
-    )
-    parser.add_argument(
         "--naive", action="store_true",
         help="one-request-per-solve control mode: batch size 1, no "
         "dedupe, no warm engine (the E14 baseline)",
     )
     parser.add_argument(
         "--solve-delay-ms", type=float, default=0.0,
-        help="synthetic per-solve service-time floor (thread executor "
-        "only): sleeps on the solve thread, releasing the GIL, so a "
-        "node's capacity is pinned regardless of host CPU — used by "
-        "capacity-pinned benchmarks like E17",
+        help="synthetic per-solve service-time floor: sleeps on the "
+        "solve thread, releasing the GIL, so a node's capacity is "
+        "pinned regardless of host CPU — used by capacity-pinned "
+        "benchmarks like E17",
     )
 
 
@@ -118,9 +94,6 @@ def _config_from(args: argparse.Namespace) -> ServerConfig:
     common = dict(
         host=args.host, port=args.port, max_queue=args.max_queue,
         solver_workers=args.solver_workers,
-        executor=args.executor, process_workers=args.process_workers,
-        shm=not args.no_shm, shm_slots=args.shm_slots,
-        shm_slot_bytes=args.shm_slot_bytes,
         solve_delay_s=args.solve_delay_ms / 1e3,
     )
     if args.naive:
@@ -170,13 +143,7 @@ def _spawn_backends(
 ) -> tuple[list[ServeProcess], tuple[BackendSpec, ...]]:
     """Spawn ``count`` real ``serve`` OS processes (cluster scale needs
     processes, not threads) and name them for the ring."""
-    extra: list[str] = ["--executor", args.executor]
-    if args.executor == "process":
-        extra += ["--process-workers", str(args.process_workers)]
-        if args.no_shm:
-            extra.append("--no-shm")
-    if args.naive:
-        extra.append("--naive")
+    extra: list[str] = ["--naive"] if args.naive else []
     processes: list[ServeProcess] = []
     try:
         for _ in range(count):
@@ -218,12 +185,6 @@ def router_main(argv: list[str] | None = None) -> int:
         "--spawn", type=int, metavar="N",
         help="spawn N backend serve processes for the router's lifetime",
     )
-    parser.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="executor for --spawn backends",
-    )
-    parser.add_argument("--process-workers", type=int, default=2)
-    parser.add_argument("--no-shm", action="store_true")
     parser.add_argument("--naive", action="store_true")
     parser.add_argument(
         "--vnodes", type=int, default=64,

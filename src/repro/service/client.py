@@ -439,8 +439,9 @@ class ServiceClient:
         start = time.perf_counter()
         response = self.call(message)
         if sent_delta and response.get("error") == "unknown base":
-            # The server evicted (or restarted past) our base: fall
-            # back to a full snapshot, once, and rebase from there.
+            # Our base is no longer the server's tip (another sender
+            # advanced it, or the server restarted): fall back to a
+            # full snapshot, once, and rebase from there.
             self._wire.forget(shard)
             message, _ = self._wire.rebalance_message(
                 instance, k, shard, deadline_ms, full=True,

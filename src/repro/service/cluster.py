@@ -1,7 +1,7 @@
 """The cluster tier: a shard-routing coordinator over N backend nodes.
 
-One host saturates (process executor + shm snapshot plane), so the
-next order of magnitude is across hosts.  :class:`ClusterRouter` is a
+One ``serve`` process saturates one core, so the next order of
+magnitude is across processes and hosts.  :class:`ClusterRouter` is a
 coordinator process that speaks the existing v2 binary protocol (and
 v1 JSON) on *both* sides: clients connect to the router exactly as
 they would to a single ``serve`` node, and the router places shards on
@@ -9,8 +9,8 @@ backend nodes by consistent hashing::
 
     clients → router ─┬→ backend A (serve)   shard placement: vnode
                       ├→ backend B (serve)   ring keyed by crc32, the
-                      └→ backend C (serve)   same hash as the process
-                                             executor's worker affinity
+                      └→ backend C (serve)   same hash as the data
+                                             plane's worker affinity
 
 Placing shards on nodes is itself an online load-balancing instance —
 nodes arrive and depart, shards must move as little as possible — so
@@ -22,8 +22,8 @@ which is the ring's analogue of the paper's bounded per-epoch moves.
 PR 5 is already a complete, fingerprinted log of every shard's
 snapshot history, so the router replays exactly those frames at the
 shard's standby (the next distinct node clockwise on the ring) via the
-``replicate`` op: same codec, same base LRU, same ``unknown base`` →
-one-full-snapshot degradation.  The delta log *is* the replication
+``replicate`` op: same codec, same resident tip, same ``unknown base``
+→ one-full-snapshot degradation.  The delta log *is* the replication
 log; there is no second snapshot format to keep consistent.
 
 **Failover.**  A backend death is observed either by the health loop
@@ -96,7 +96,7 @@ class HashRing:
 
     Each node contributes ``vnodes`` points ``crc32(f"{node}#{i}")``;
     a shard lands on the first point clockwise of ``crc32(shard)``.
-    The hash is the same crc32-of-utf-8 the process executor uses for
+    The hash is the same crc32-of-utf-8 the router data plane uses for
     shard→worker affinity, so the two placement layers agree on what
     "the shard's hash" means.  Node ids are logical names (decoupled
     from host:port), so ring layout is a pure function of the names —

@@ -14,10 +14,10 @@ matter how many backends exist behind it.  This module splits it::
                                    zero-materialization full relay
 
 * **Shard→worker affinity** is ``crc32(shard) % workers`` — the same
-  hash family as :class:`~repro.service.cluster.HashRing` and the
-  process executor's worker routing — so each worker's resident tips
-  (:class:`~repro.service.resident.ResidentShard`) need no
-  cross-process coordination: exactly one worker ever touches a shard.
+  hash family as :class:`~repro.service.cluster.HashRing` — so each
+  worker's resident tips (:class:`~repro.service.resident.ResidentShard`)
+  need no cross-process coordination: exactly one worker ever touches
+  a shard.
 * **The shared port** uses ``SO_REUSEPORT`` where available: every
   worker binds + listens on the same address and the kernel spreads
   incoming connections across them.  The control plane binds the port
@@ -39,11 +39,10 @@ matter how many backends exist behind it.  This module splits it::
   once so the next delta rides the O(churn) passthrough).  Responses
   the worker builds itself reuse one preallocated encode buffer per
   connection (:func:`~repro.service.protocol.encode_frame_into`).
-* **Control decisions** travel over the same spawn-context
-  pipe+bytes machinery :class:`~repro.parallel.PersistentWorkerPool`
-  uses: the control plane broadcasts backend deaths and the
-  worker-port table; workers report inline transport deaths up so
-  peers hear about them.  A worker that dies (kill -9) is respawned on
+* **Control decisions** travel over spawn-context pipes
+  (:func:`~repro.parallel.spawn_piped_process`): the control plane
+  broadcasts backend deaths and the worker-port table; workers report
+  inline transport deaths up so peers hear about them.  A worker that dies (kill -9) is respawned on
   the same index — its shard subset is a pure function of the index —
   and the peer table is rebroadcast; until then peers answer brief
   ``overloaded`` backpressure for its shards instead of redirecting to
@@ -113,7 +112,7 @@ def default_router_workers() -> int:
 
 def worker_for(shard: str, count: int) -> int:
     """The data-plane worker index owning ``shard`` (crc32 affinity,
-    the same hash family as the ring and the process executor).
+    the same hash family as the ring).
 
     The digest is XOR-folded before the modulus: crc32's low bits are
     insensitive to low-bit changes in the trailing bytes (``"s-0"`` …

@@ -44,7 +44,6 @@ __all__ = [
     "LoadGenConfig",
     "LoadGenReport",
     "build_snapshots",
-    "calibrate_shm_workload",
     "calibrate_workload",
     "calibrate_wire_workload",
     "run_churn_stream",
@@ -97,7 +96,7 @@ class LoadGenConfig:
         single-lane workload).  With more, consecutive ``duplicates``
         requests share one shard and the shards round-robin, so each of
         the ``shards`` lanes sees its own coherent snapshot stream —
-        the multi-shard workload the process executor parallelizes.
+        the multi-shard workload a router spreads over backends.
         """
         if self.shards == 1:
             return self.shard
@@ -191,7 +190,7 @@ def build_snapshots(config: LoadGenConfig) -> list[Instance]:
       ``"steady"`` the churn is sparse, but *every* snapshot is
       guaranteed distinct, so no two consecutive requests share a
       fingerprint and the server's dedupe can never collapse them: the
-      regime that isolates per-request transport cost (E16).
+      regime that isolates per-request transport cost.
     """
     from ..websim.simulator import build_cluster
     from ..websim.traffic import (
@@ -314,70 +313,6 @@ def calibrate_wire_workload(
             codec_s = min(codec_s, time.perf_counter() - start)
         if codec_s >= target_codec_s or num_sites * 2 > max_sites:
             return config, codec_s
-        num_sites *= 2
-
-
-def calibrate_shm_workload(
-    *,
-    seed: int = 16,
-    target_marshal_s: float = 0.0012,
-    num_servers: int = 12,
-    k: int = 8,
-    epochs: int = 32,
-    max_sites: int = 48_000,
-) -> tuple[LoadGenConfig, float]:
-    """Grow the snapshot until one inline worker-pipe marshal round —
-    packing a solve entry with full arrays, unpacking it, and rebuilding
-    the :class:`Instance` the way a worker process does — costs at
-    least ``target_marshal_s`` on this host; return the (churn-traffic,
-    delta-transport) config and the measured marshal time.
-
-    E16 compares snapshot transports *between* the serving process and
-    its workers: the inline codec path pays this marshal round per
-    dispatched solve, the shm plane pays O(1) per dispatch after one
-    ring write per distinct snapshot.  Pinning the marshal time pins
-    the inline leg's per-request overhead across hosts, exactly as
-    :func:`calibrate_wire_workload` pins the v1 codec time for E15.
-    Churn traffic (every snapshot distinct, sparsely) keeps the
-    fingerprint dedupe and the decision memo from collapsing repeated
-    requests, so every request prices the transport.
-
-    ``max_sites`` is deliberately tight: both legs pay the O(n)
-    response mapping on the pipe and the TCP socket, so past the cap
-    that *shared* cost dominates and the comparison stops isolating
-    the request-side snapshot transport.
-    """
-    from ..core.instance import Instance
-    from .protocol import pack_payload, unpack_payload
-
-    num_sites = 6000
-    while True:
-        config = LoadGenConfig(
-            num_sites=num_sites, num_servers=num_servers, k=k,
-            epochs=epochs, seed=seed, duplicates=1,
-            protocol="binary", delta=True, traffic="churn",
-        )
-        snapshot = build_snapshots(replace(config, epochs=1))[0]
-        marshal_s = float("inf")
-        for _ in range(2):  # best-of-2 strips scheduler spikes
-            start = time.perf_counter()
-            payload = pack_payload({
-                "op": "solve",
-                "lanes": [{
-                    "shard": "calibrate",
-                    "solves": [{
-                        "k": k, "fp": "00" * 16,
-                        "instance": snapshot.to_wire(),
-                    }],
-                }],
-            })
-            message = unpack_payload(payload)
-            Instance.from_dict(
-                message["lanes"][0]["solves"][0]["instance"]
-            )
-            marshal_s = min(marshal_s, time.perf_counter() - start)
-        if marshal_s >= target_marshal_s or num_sites * 2 > max_sites:
-            return config, marshal_s
         num_sites *= 2
 
 
@@ -843,11 +778,10 @@ def run_churn_stream(
 
 
 # The scenario catalog's workload-axis registry: a scenario names its
-# calibration ("service", "wire", "shm") instead of importing a
-# function, so record files document which host-speed pin sized the
-# workload.  Each entry returns ``(LoadGenConfig, measured_seconds)``.
+# calibration ("service", "wire") instead of importing a function, so
+# record files document which host-speed pin sized the workload.  Each
+# entry returns ``(LoadGenConfig, measured_seconds)``.
 CALIBRATIONS = {
     "service": calibrate_workload,
     "wire": calibrate_wire_workload,
-    "shm": calibrate_shm_workload,
 }

@@ -72,22 +72,22 @@ codec, same port, no separate control plane):
 
 ``health``
     ``{"op": "health"}`` → ``{"ok": true, "uptime_s": float,
-    "queue_depth": int, "executor": str}``.  Answered on the event
+    "queue_depth": int}``.  Answered on the event
     loop without touching the solve thread, so the router's health
     loop measures liveness rather than solver backlog.
 ``replicate``
     ``{"op": "replicate", "shard": str, "instance": ...}`` or the same
     ``delta`` body as ``rebalance`` → ``{"ok": true, "shard": str,
-    "fingerprint": hex}``.  Installs the snapshot into the node's
-    delta-base LRU without solving; the router replays each shard's
+    "fingerprint": hex}``.  Advances the shard's resident tip without
+    solving; the router replays each shard's
     fingerprinted delta stream at a standby this way (the delta log
     *is* the replication log), and ``unknown base`` degrades to one
     full snapshot exactly as on the primary path.
 ``migrate``
     ``{"op": "migrate", "shard": str}`` → ``{"ok": true, "found":
     bool, "fingerprint": hex?, "instance": ...?}``.  Exports the
-    shard's newest delta base so the router can ship it to a new
-    owner during live migration.
+    shard's resident tip so the router can ship it to a new owner
+    during live migration.
 """
 
 from __future__ import annotations
@@ -269,12 +269,7 @@ def _pack_payload_into(payload: dict[str, Any], out: bytearray, at: int) -> int:
 
 
 def pack_payload(payload: dict[str, Any]) -> bytes:
-    """Serialize one message to the v2 binary body (no frame header).
-
-    Also the marshaling format of the service's multi-process shard
-    executor: worker payloads cross the pipe in exactly the bytes a v2
-    frame body would carry.
-    """
+    """Serialize one message to the v2 binary body (no frame header)."""
     out = bytearray()
     _pack_payload_into(payload, out, 0)
     return bytes(out)

@@ -1,12 +1,11 @@
-"""Resident shard arrays: the O(churn) request path of the server.
+"""Resident shard arrays: the server's one request path.
 
-Before this module the server turned every delta frame back into a full
-:class:`~repro.core.instance.Instance` (``apply_delta``'s three O(n)
-copies) and re-hashed all three arrays (another O(n)) before a solve
-could even be enqueued.  The engine underneath had already gone
-O(churn); the service layer in front of it had not.
+Materializing every delta frame into a full
+:class:`~repro.core.instance.Instance` would cost ``apply_delta``'s
+three O(n) copies plus an O(n) re-hash before a solve could even be
+enqueued, while the engine underneath decides in O(churn).
 
-A :class:`ResidentShard` is the fix: the server keeps, per shard, one
+A :class:`ResidentShard` avoids both: the server keeps, per shard, one
 *writable* copy of the snapshot arrays plus the rolling-fingerprint
 state of :mod:`repro.core.rollhash`.  A delta frame whose ``base``
 names the resident tip is then pure O(changed sites) work on the event
@@ -91,10 +90,12 @@ def _frame_arrays(
     """Validate one wire delta body into frame arrays.
 
     Raises :class:`ValueError` on malformed input (mismatched lengths,
-    out-of-range indices, unsorted or repeated sites) — the same
+    out-of-range indices, unsorted or repeated sites, values a full
+    :class:`~repro.core.instance.Instance` would reject) — the same
     contract :func:`~repro.core.instance.apply_delta` enforces, plus
     strict ordering, which both the gather/scatter and the fingerprint
-    roll rely on.
+    roll rely on.  O(changed sites): only the sites the frame writes
+    are checked, so a tip that starts valid stays valid.
     """
     idx = np.asarray(delta["idx"], dtype=np.int64)
     sizes = np.asarray(delta["sizes"], dtype=np.float64)
@@ -111,6 +112,10 @@ def _frame_arrays(
             raise ValueError("delta indices must be strictly increasing")
         if initial.min() < 0 or initial.max() >= num_processors:
             raise ValueError("delta initial assignment out of range")
+        if not np.isfinite(sizes).all() or sizes.min() <= 0:
+            raise ValueError("delta sizes must be finite and strictly positive")
+        if not np.isfinite(costs).all() or costs.min() < 0:
+            raise ValueError("delta costs must be finite and non-negative")
     return idx, sizes, costs, initial
 
 

@@ -6,30 +6,23 @@ drained by the :class:`~repro.service.batching.MicroBatcher`, and solved
 by per-shard warm :class:`~repro.core.engine.RebalanceEngine` instances,
 so every shard's epoch stream hits the threshold-table and fingerprint
 caches exactly as an in-process engine would.  The event loop never
-blocks on a solve: each batch is one ``run_in_executor`` hop.
+blocks on a solve: each batch is one ``run_in_executor`` hop to the
+solve thread, which fans independent shard lanes out via
+:func:`repro.parallel.run_sweep` worker threads.
 
-Two shard executors (``ServerConfig.executor``):
-
-* ``"thread"`` (default) — shard engines live in this process; the
-  executor hop fans independent shard lanes out via
-  :func:`repro.parallel.run_sweep` worker threads.  Zero setup cost,
-  but all lanes share the GIL.
-* ``"process"`` — shard engines live in ``process_workers`` long-lived
-  worker processes (:class:`repro.parallel.PersistentWorkerPool`);
-  every shard is pinned to one worker by a stable hash, so its warm
-  engine state survives across batches exactly as in thread mode.
-  Request arrays cross the pipe in the v2 binary codec
-  (:func:`repro.service.protocol.pack_payload` — raw buffers, no JSON,
-  no pickle), and independent shards use real cores instead of threads
-  contending on the GIL.
+Every request takes one path, the resident one
+(:mod:`repro.service.resident`): each shard keeps its snapshot as
+resident arrays plus a rolling fingerprint.  A full snapshot (re)seeds
+the resident; a delta frame whose ``base`` is the resident tip is
+applied in O(changed sites) and reaches the engine as a churn hint; a
+delta on any other base answers ``unknown base`` and the client resends
+one full snapshot.  Multi-core scale-out lives one layer up: the
+cluster router (:mod:`repro.service.cluster`) spreads shards over N
+``serve`` processes by crc32 shard affinity.
 
 The server speaks both wire formats of :mod:`repro.service.protocol`
 (v1 length-prefixed JSON and v2 binary with delta frames) on one port
-and answers each request in the format it arrived in.  Delta frames
-resolve against a per-shard LRU of recent snapshots keyed by
-fingerprint, so steady-state clients ship only changed sites and the
-warm engine patches only changed buckets — the server never rebuilds
-what it already holds.
+and answers each request in the format it arrived in.
 
 Decisions are byte-identical to in-process
 :func:`repro.core.partition.m_partition_rebalance` calls on the same
@@ -39,14 +32,14 @@ end-to-end websim differential test pins this across v1-JSON,
 v2-binary, and v2-delta transports.
 
 :class:`ServerConfig.naive` is the control: batch size 1, no dedupe,
-no warm engine — the one-request-per-solve server benchmark E14
+no warm engine — every decide is a from-scratch ``m_partition_rebalance``
+on the resident arrays, the one-request-per-solve server benchmark E14
 measures against.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import math
 import os
 import threading
@@ -55,16 +48,13 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any
-from zlib import crc32
-
-import numpy as np
 
 from .. import telemetry
 from ..core.engine import RebalanceEngine, snapshot_fingerprint
-from ..core.instance import Instance, apply_delta
+from ..core.instance import Instance
 from ..core.partition import m_partition_rebalance
 from ..core.result import RebalanceResult
-from ..parallel import PersistentWorkerPool, SnapshotRing, run_sweep
+from ..parallel import run_sweep
 from .admission import AdmissionQueue, PendingRequest
 from .batching import BatchConfig, MicroBatcher, ShardLane, UniqueSolve
 from .resident import ResidentShard, SolveResident
@@ -73,9 +63,7 @@ from .protocol import (
     encode_frame,
     error_response,
     ok_response,
-    pack_payload,
     read_frame_versioned,
-    unpack_payload,
 )
 
 __all__ = [
@@ -100,62 +88,24 @@ class ServerConfig:
     max_queue: int = 128
     solver_workers: int = 4
     engine_cache_size: int = 64
-    executor: str = "thread"  # "thread" | "process"
-    process_workers: int = 2
-    base_cache_size: int = 32  # delta base snapshots kept per shard
-    # Shared-memory snapshot plane (process executor only): decoded
-    # snapshots are written once into a shm ring and workers rebuild
-    # zero-copy views, so solve requests stop carrying arrays.  ``shm``
-    # opts out; the slot geometry bounds the plane's footprint at
-    # ``shm_slots * shm_slot_bytes``.  The first snapshot too big for
-    # one slot grows the ring (slot size doubles until it fits, capped
-    # at ``shm_max_slot_bytes``) instead of silently demoting that
-    # shard to the inline codec forever; only snapshots beyond the cap
-    # keep falling back to inline.
-    shm: bool = True
-    shm_slots: int = 128
-    shm_slot_bytes: int = 1 << 20
-    shm_max_slot_bytes: int = 1 << 27
-    # Server-side decision memo (process executor only): repeated
-    # ``(shard, k, fingerprint)`` solves answer on the event loop
-    # without a worker-pipe round trip — the steady-state fast path
-    # that keeps p50 at loop latency when the cluster barely changes.
-    # 0 disables (the worker's own decision cache still applies).
+    # Event-loop response memo: a repeated ``(shard, k, fingerprint,
+    # moves_only)`` decide answers without admission, batching or a
+    # solve-thread hop — the steady-state fast path that keeps p50 at
+    # loop latency when the cluster barely changes.  0 disables.
     decision_cache_size: int = 128
-    # Resident shard arrays (thread executor only, needs the warm
-    # engine): delta frames are applied in place onto per-shard
-    # resident arrays in O(changed sites) — no Instance
-    # reconstruction, no full-array rehash — and the engine receives
-    # the changed-site set as a churn hint.  ``False`` restores the
-    # delta-base LRU path for every request.
-    resident: bool = True
-    # Synthetic per-solve service-time floor (thread executor only):
-    # each solve sleeps this long on the solve thread after computing.
-    # Sleeping releases the GIL and the core, so a node's capacity
-    # becomes ~1/(solve + floor) regardless of host CPU — the knob
-    # capacity-pinned benchmarks (E17) use to measure *cluster* scale-
-    # out on machines with fewer cores than backend processes.
+    # Synthetic per-solve service-time floor: each solve sleeps this
+    # long on the solve thread after computing.  Sleeping releases the
+    # GIL and the core, so a node's capacity becomes ~1/(solve + floor)
+    # regardless of host CPU — the knob capacity-pinned benchmarks
+    # (E17) use to measure *cluster* scale-out on machines with fewer
+    # cores than backend processes.
     solve_delay_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.executor not in ("thread", "process"):
-            raise ValueError(f"unknown executor {self.executor!r}")
-        if self.executor == "process" and self.process_workers <= 0:
-            raise ValueError("process_workers must be positive")
-        if self.base_cache_size < 0:
-            raise ValueError("base_cache_size must be non-negative")
-        if self.shm_slots <= 0:
-            raise ValueError("shm_slots must be positive")
-        if self.shm_slot_bytes <= 0 or self.shm_slot_bytes % 8:
-            raise ValueError("shm_slot_bytes must be positive and 8-byte aligned")
-        if self.shm_max_slot_bytes < self.shm_slot_bytes:
-            raise ValueError("shm_max_slot_bytes must be >= shm_slot_bytes")
         if self.decision_cache_size < 0:
             raise ValueError("decision_cache_size must be non-negative")
         if self.solve_delay_s < 0:
             raise ValueError("solve_delay_s must be non-negative")
-        if self.solve_delay_s and self.executor == "process":
-            raise ValueError("solve_delay_s requires the thread executor")
 
     @classmethod
     def naive(cls, **overrides: Any) -> "ServerConfig":
@@ -179,15 +129,7 @@ class ServerConfig:
             "max_queue": self.max_queue,
             "solver_workers": self.solver_workers,
             "engine_cache_size": self.engine_cache_size,
-            "executor": self.executor,
-            "process_workers": self.process_workers,
-            "base_cache_size": self.base_cache_size,
-            "shm": self.shm,
-            "shm_slots": self.shm_slots,
-            "shm_slot_bytes": self.shm_slot_bytes,
-            "shm_max_slot_bytes": self.shm_max_slot_bytes,
             "decision_cache_size": self.decision_cache_size,
-            "resident": self.resident,
             "solve_delay_s": self.solve_delay_s,
         }
 
@@ -221,8 +163,7 @@ def _get_shard_state(
     An engine is pinned to one move budget; a request that switches a
     shard's ``k`` retires the warm engine and starts cold (counted in
     ``service.shard_rebuilds`` — keep per-``k`` streams on separate
-    shards to avoid the churn).  Shared by the in-process thread path
-    and the worker processes; returns ``(state, rebuilt)``.
+    shards to avoid the churn).  Returns ``(state, rebuilt)``.
     """
     state = shards.get(name)
     rebuilt = False
@@ -276,374 +217,6 @@ def _moves_response(
     )
 
 
-def _solve_one(
-    state: ShardState, instance: Instance, k: int, fingerprint: bytes | None
-) -> dict[str, Any]:
-    """One solve on one shard; never raises (a failed solve must not
-    take the batch loop — or a worker process — down with it)."""
-    try:
-        if state.engine is not None:
-            result = state.engine.rebalance(instance, fingerprint=fingerprint)
-        else:
-            result = m_partition_rebalance(instance, k)
-        state.decisions += 1
-        return _result_response(state, result)
-    except Exception as exc:
-        return error_response(
-            "solve failed", message=f"{type(exc).__name__}: {exc}"
-        )
-
-
-class _SnapshotPlane:
-    """Server-side allocator/accountant for the :class:`SnapshotRing`.
-
-    Keyed by snapshot fingerprint: the first time a fingerprint is seen
-    it is written into a free (or recycled) slot; every later reference
-    is a dictionary lookup — write-once, attach-many.  A slot is
-    recyclable only when nothing can still read it:
-
-    * ``holds`` — delta-base LRU entries referencing the fingerprint
-      (one per shard whose LRU holds it);
-    * ``pins`` — in-flight requests (pinned from admission until the
-      response future resolves, so a slot under a live solve is never
-      rewritten mid-read);
-    * worker retention — each worker's engines keep the last snapshot
-      per shard alive for table diffing; workers report those slots
-      with every reply and the plane refuses to recycle them.
-
-    Allocation and hold/pin bookkeeping run on the event loop only;
-    the solve thread only replaces per-worker retained maps (atomic
-    dict assignment), which is the single cross-thread touch point.
-    A retained map is always reported *after* the round whose request
-    pins covered the newly retained slots, so the event loop never
-    recycles a slot between a worker acquiring it and reporting it.
-    """
-
-    def __init__(
-        self,
-        ring: SnapshotRing,
-        metrics: telemetry.Collector,
-        *,
-        max_slot_bytes: int | None = None,
-    ) -> None:
-        self.ring = ring
-        self.metrics = metrics
-        self.max_slot_bytes = max_slot_bytes or ring.slot_bytes
-        # Ring epoch: bumped on every grow.  Pin tokens carry the epoch
-        # they were issued under so a token from before a swap can
-        # neither corrupt the new ring's accounting (``unpin`` ignores
-        # it) nor reach a worker as a slot reference (``_wire_solve``
-        # falls back to inline arrays for stale-epoch tokens).
-        self.epoch = 0
-        self.pending_attach = False  # solve thread must re-attach workers
-        self._retired: list[SnapshotRing] = []
-        self._slot_of: dict[str, int] = {}
-        self._fp_of: list[str | None] = [None] * ring.slots
-        self._generations: list[int] = [0] * ring.slots
-        self._holds: list[int] = [0] * ring.slots
-        self._pins: list[int] = [0] * ring.slots
-        self._order: OrderedDict[int, None] = OrderedDict()  # assigned, LRU
-        self._free: list[int] = list(range(ring.slots - 1, -1, -1))
-        self._retained: dict[int, dict[str, int]] = {}  # worker -> shard -> slot
-
-    # -- event-loop side -----------------------------------------------
-    def _retained_slots(self) -> set[int]:
-        slots: set[int] = set()
-        for mapping in self._retained.values():
-            slots.update(mapping.values())
-        return slots
-
-    def _allocate(self) -> int | None:
-        if self._free:
-            return self._free.pop()
-        retained = self._retained_slots()
-        for slot in self._order:  # least recently used first
-            if (
-                self._holds[slot] == 0
-                and self._pins[slot] == 0
-                and slot not in retained
-            ):
-                return slot
-        return None
-
-    def _grow(self, needed_bytes: int) -> bool:
-        """Swap in a ring with bigger slots (event loop only).
-
-        The first oversize snapshot grows the plane instead of silently
-        demoting every request for that shard to the inline codec: slot
-        size doubles until the snapshot fits (capped at
-        ``max_slot_bytes``), a fresh segment replaces the old one, and
-        all bookkeeping resets — outstanding pin/hold references are
-        epoch-guarded, and in-flight slot references degrade to the
-        stale-segment inline retry.  Workers attach lazily: the solve
-        thread broadcasts the new segment before its next batch.
-        """
-        slot_bytes = self.ring.slot_bytes
-        while slot_bytes < needed_bytes:
-            slot_bytes *= 2
-        if slot_bytes > self.max_slot_bytes:
-            self.metrics.add("service.shm_grow_failed")
-            return False
-        try:
-            ring = SnapshotRing.create(self.ring.slots, slot_bytes)
-        except OSError:
-            self.metrics.add("service.shm_grow_failed")
-            return False
-        self._retired.append(self.ring)
-        self.ring = ring
-        self.epoch += 1
-        self.pending_attach = True
-        self._slot_of.clear()
-        self._fp_of = [None] * ring.slots
-        # _generations carries over: a slot's counter is monotonic for
-        # the server's lifetime, so a reference into a retired segment
-        # can never validate against the new segment's contents (the
-        # new ring starts with zeroed headers and writes keep counting
-        # up from where the old ring left off).
-        self._holds = [0] * ring.slots
-        self._pins = [0] * ring.slots
-        self._order.clear()
-        self._free = list(range(ring.slots - 1, -1, -1))
-        self._retained.clear()
-        self.metrics.add("service.shm_grows")
-        return True
-
-    def note_attached(self, epoch: int) -> None:
-        """Solve thread: workers now attached to the ``epoch`` ring.
-
-        Retired segments are unlinked here — after the broadcast, so no
-        worker can be asked to attach a name that is already gone.  (A
-        worker still holding views into a retired segment keeps its own
-        mapping alive; unlink only removes the name.)  If the event
-        loop grew the ring *again* mid-broadcast, ``pending_attach``
-        stays set and the next batch re-broadcasts.
-        """
-        if self.epoch == epoch:
-            self.pending_attach = False
-        while self._retired:
-            self._retired.pop().close()
-
-    def _ensure(self, fp_hex: str, instance: Instance) -> int | None:
-        slot = self._slot_of.get(fp_hex)
-        if slot is not None:
-            self._order.move_to_end(slot)
-            return slot
-        if not self.ring.fits(instance.num_jobs):
-            self.metrics.add("service.shm_oversize")
-            if not self._grow(SnapshotRing.needed_bytes(instance.num_jobs)):
-                return None
-        slot = self._allocate()
-        if slot is None:
-            self.metrics.add("service.shm_full")
-            return None
-        evicted = self._fp_of[slot]
-        if evicted is not None:
-            del self._slot_of[evicted]
-        generation = self._generations[slot] + 1
-        self.ring.write(
-            slot, generation, instance.sizes, instance.costs, instance.initial
-        )
-        self._generations[slot] = generation
-        self._fp_of[slot] = fp_hex
-        self._slot_of[fp_hex] = slot
-        self._order[slot] = None
-        self._order.move_to_end(slot)
-        self.metrics.add("service.shm_writes")
-        return slot
-
-    def pin(self, fp_hex: str, instance: Instance) -> tuple[int, int, int] | None:
-        """Slot token for one in-flight request (``None`` = no slot:
-        uncorrectably oversize snapshot or every slot busy — callers
-        fall back to the inline codec path)."""
-        slot = self._ensure(fp_hex, instance)
-        if slot is None:
-            return None
-        self._pins[slot] += 1
-        return slot, self._generations[slot], self.epoch
-
-    def unpin(self, token: tuple[int, int, int]) -> None:
-        slot, _generation, epoch = token
-        if epoch != self.epoch:
-            return  # pinned before a grow: that ring is gone
-        self._pins[slot] = max(0, self._pins[slot] - 1)
-
-    def hold(self, fp_hex: str, instance: Instance) -> None:
-        """A delta-base LRU entry now references ``fp_hex``."""
-        slot = self._ensure(fp_hex, instance)
-        if slot is not None:
-            self._holds[slot] += 1
-
-    def release_hold(self, fp_hex: str) -> None:
-        slot = self._slot_of.get(fp_hex)
-        if slot is not None:
-            self._holds[slot] = max(0, self._holds[slot] - 1)
-
-    def stats(self) -> dict[str, Any]:
-        return {
-            "slots": self.ring.slots,
-            "slot_bytes": self.ring.slot_bytes,
-            "epoch": self.epoch,
-            "assigned": len(self._slot_of),
-            "pinned": sum(1 for p in self._pins if p),
-            "held": sum(1 for h in self._holds if h),
-            "worker_retained": len(self._retained_slots()),
-        }
-
-    def close(self) -> None:
-        """Unlink every segment this plane ever owned (server stop)."""
-        while self._retired:
-            self._retired.pop().close()
-        self.ring.close()
-
-    # -- solve-thread side ---------------------------------------------
-    def note_worker_retained(self, worker: int, mapping: dict[str, Any]) -> None:
-        """Replace ``worker``'s retained map (reported with each reply)."""
-        self._retained[worker] = {
-            str(shard): int(slot) for shard, slot in mapping.items()
-        }
-
-
-# ----------------------------------------------------------------------
-# Process-executor worker side (runs in spawned worker processes)
-# ----------------------------------------------------------------------
-_WORKER: dict[str, Any] = {}
-
-
-def _process_worker_init(config: dict[str, Any]) -> None:
-    """Per-worker initializer: remember the engine config, start empty.
-
-    When the server created a snapshot ring, attach to it here so an
-    attach failure surfaces through the pool's ready handshake (the
-    server then fails start() instead of limping along half-attached).
-    """
-    _WORKER["config"] = config
-    _WORKER["shards"] = {}
-    _WORKER["rebuilds"] = 0
-    _WORKER["retained"] = {}
-    ring = None
-    if config.get("shm_name"):
-        ring = SnapshotRing.attach(
-            config["shm_name"], config["shm_slots"], config["shm_slot_bytes"]
-        )
-    _WORKER["ring"] = ring
-
-
-def _worker_solve_lane(
-    lane: dict[str, Any],
-    shards: dict[str, ShardState],
-    config: dict[str, Any],
-    ring: SnapshotRing | None,
-    retained: dict[str, int],
-) -> list[dict[str, Any]]:
-    name = str(lane["shard"])
-    responses = []
-    for solve in lane["solves"]:
-        k = int(solve["k"])
-        state, rebuilt = _get_shard_state(
-            shards, name, k,
-            config["use_engine"], config["engine_cache_size"],
-        )
-        if rebuilt:
-            _WORKER["rebuilds"] += 1
-            retained.pop(name, None)  # the old engine's borrow ended
-        fingerprint = bytes.fromhex(solve["fp"])
-        if state.engine is not None:
-            # Fingerprint-only fast path: a decision-cache hit needs no
-            # snapshot at all, so shm solves skip even the view rebuild.
-            result = state.engine.cached(fingerprint)
-            if result is not None:
-                state.decisions += 1
-                responses.append(_result_response(state, result))
-                continue
-        slot = solve.get("slot")
-        if slot is not None:
-            views = None
-            if ring is not None:
-                views = ring.read(
-                    int(slot), int(solve["gen"]), int(solve["n"])
-                )
-            if views is None:
-                # Generation mismatch (or no ring): tell the server to
-                # re-send this solve with inline arrays.
-                responses.append(error_response("stale segment", shard=name))
-                continue
-            sizes, costs, initial = views
-            instance = Instance(
-                sizes=sizes, costs=costs,
-                num_processors=int(solve["m"]), initial=initial,
-            )
-        else:
-            instance = Instance.from_dict(solve["instance"])
-        responses.append(_solve_one(state, instance, k, fingerprint))
-        if state.engine is not None and state.engine.retained_snapshot is instance:
-            # The engine's tables now reference this snapshot's arrays;
-            # report the slot so the server keeps it off the free list
-            # (inline solves clear the previous borrow instead).
-            if slot is not None:
-                retained[name] = int(slot)
-            else:
-                retained.pop(name, None)
-    return responses
-
-
-def _process_worker_handle(payload: bytes) -> bytes:
-    """Worker request loop body: binary codec in, binary codec out.
-
-    Every reply carries the worker's current ``retained`` map
-    (shard -> ring slot its warm engine still references) so the
-    server's slot recycling always sees fresh borrows.
-    """
-    message = unpack_payload(payload)
-    op = message.get("op")
-    config = _WORKER["config"]
-    shards: dict[str, ShardState] = _WORKER["shards"]
-    retained: dict[str, int] = _WORKER["retained"]
-    if op == "solve":
-        ring: SnapshotRing | None = _WORKER.get("ring")
-        lanes_out = [
-            _worker_solve_lane(lane, shards, config, ring, retained)
-            for lane in message["lanes"]
-        ]
-        return pack_payload({"lanes": lanes_out, "retained": dict(retained)})
-    if op == "reset":
-        names = message.get("shards")
-        names = list(shards) if names is None else [str(n) for n in names]
-        reset = []
-        for name in names:
-            state = shards.get(name)
-            if state is None:
-                continue
-            if state.engine is not None:
-                state.engine.reset()
-            state.decisions = 0
-            retained.pop(name, None)
-            reset.append(name)
-        return pack_payload({"reset": reset, "retained": dict(retained)})
-    if op == "stats":
-        return pack_payload({
-            "shards": {name: state.stats() for name, state in shards.items()},
-            "rebuilds": _WORKER["rebuilds"],
-            "retained": dict(retained),
-        })
-    if op == "attach":
-        # The server's snapshot ring grew: swap to the new segment.
-        # Engines may still hold views into the old one — its close()
-        # leaves the mapping in place while views are live — and the
-        # retained map is cleared because those borrows name slots the
-        # server no longer tracks.
-        old: SnapshotRing | None = _WORKER.get("ring")
-        if old is not None:
-            old.close()
-        _WORKER["ring"] = SnapshotRing.attach(
-            str(message["name"]),
-            int(message["slots"]),
-            int(message["slot_bytes"]),
-        )
-        retained.clear()
-        return pack_payload({"attached": str(message["name"]), "retained": {}})
-    raise ValueError(f"unknown worker op {op!r}")
-
-
 class RebalanceServer:
     """Dual-protocol TCP server around a pool of shard engines."""
 
@@ -661,44 +234,18 @@ class RebalanceServer:
             ),
             self.metrics,
         )
-        # Delta bases: per shard, the last few snapshots by fingerprint
-        # hex.  Lives in the serving process (deltas must materialize
-        # before admission/batching), regardless of the executor.
-        self._bases: dict[str, OrderedDict[str, Instance]] = {}
-        # Delta-transition memo: per shard, (base fp, delta digest) ->
-        # resulting fp.  A steady epoch stream cycles through the same
-        # transitions, so a hit skips apply_delta *and* the full-array
-        # fingerprint hash — the request decodes in O(changed sites).
-        self._transitions: dict[str, OrderedDict[tuple[str, bytes], str]] = {}
-        self._transitions_cap = max(64, 4 * self.config.base_cache_size)
-        # Server-side decision memo (process executor): (shard, k,
-        # fingerprint hex) -> the worker's ok response.  A hit answers
-        # without a worker-pipe round trip; identical fingerprints get
-        # identical decisions by the engine contract, so replaying the
-        # reply is byte-equivalent to re-asking the worker.
-        self._decisions: OrderedDict[tuple[str, int, str], dict[str, Any]] = (
-            OrderedDict()
-        )
-        # Resident shard plane (thread executor): per-shard writable
-        # arrays + rolling fingerprint on the event loop, their solve-
-        # thread mirrors, and an event-loop response memo keyed by
-        # ``(shard, k, fingerprint hex, moves_only)``.
-        self._resident_enabled = (
-            self.config.resident
-            and self.config.use_engine
-            and self.config.executor == "thread"
-            and self.config.base_cache_size > 0
-        )
+        # Resident shard plane: per-shard writable arrays + rolling
+        # fingerprint on the event loop, their solve-thread mirrors, and
+        # an event-loop response memo keyed by ``(shard, k, fingerprint
+        # hex, moves_only)``.
         self._residents: dict[str, ResidentShard] = {}
         self._solve_residents: dict[str, SolveResident] = {}  # solve thread
         self._responses: OrderedDict[
             tuple[str, int, str, bool], dict[str, Any]
         ] = OrderedDict()
-        self._plane: _SnapshotPlane | None = None
         self._server: asyncio.AbstractServer | None = None
         self._batch_task: asyncio.Task | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._pool: PersistentWorkerPool | None = None
         self._stop_event: asyncio.Event | None = None
         self._started_at = time.monotonic()
 
@@ -717,45 +264,6 @@ class RebalanceServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         self._stop_event = asyncio.Event()
-        if self.config.executor == "process":
-            ring = None
-            if self.config.shm:
-                try:
-                    ring = SnapshotRing.create(
-                        self.config.shm_slots, self.config.shm_slot_bytes
-                    )
-                except OSError:
-                    # No usable /dev/shm (or quota): serve via the
-                    # inline codec path exactly as PR 5 did.
-                    self.metrics.add("service.shm_unavailable")
-            # Spawned workers import the package fresh; blocking here
-            # until every ready handshake lands keeps `start` returning
-            # a genuinely warm server.  The pool owns the ring: its
-            # close() unlinks the segment after the workers exit, and a
-            # failed spawn/handshake cleans it up the same way.
-            try:
-                self._pool = PersistentWorkerPool(
-                    _process_worker_handle,
-                    self.config.process_workers,
-                    initializer=_process_worker_init,
-                    initargs=({
-                        "use_engine": self.config.use_engine,
-                        "engine_cache_size": self.config.engine_cache_size,
-                        "shm_name": ring.name if ring is not None else None,
-                        "shm_slots": self.config.shm_slots,
-                        "shm_slot_bytes": self.config.shm_slot_bytes,
-                    },),
-                    ring=ring,
-                )
-            except BaseException:
-                if ring is not None:
-                    ring.close()  # idempotent if the pool got that far
-                raise
-            if ring is not None:
-                self._plane = _SnapshotPlane(
-                    ring, self.metrics,
-                    max_slot_bytes=self.config.shm_max_slot_bytes,
-                )
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-solve"
         )
@@ -800,12 +308,6 @@ class RebalanceServer:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._pool is not None:
-            self._pool.close()  # also unlinks the original snapshot ring
-            self._pool = None
-        if self._plane is not None:
-            self._plane.close()  # grown rings belong to the plane
-            self._plane = None
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -860,81 +362,25 @@ class RebalanceServer:
         self.metrics.add("service.protocol_errors")
         return error_response("unknown op", op=op)
 
-    # ------------------------------------------------------------------
-    # Delta bases
-    # ------------------------------------------------------------------
-    def _remember_base(self, shard: str, fp_hex: str, instance: Instance) -> None:
-        if self.config.base_cache_size == 0:
-            return
-        bases = self._bases.get(shard)
-        if bases is None:
-            bases = self._bases[shard] = OrderedDict()
-        if fp_hex not in bases and self._plane is not None:
-            # The LRU entry keeps the snapshot's ring slot held: the
-            # ring is keyed by the same fingerprints as the base cache,
-            # so eviction here is what frees slots for recycling.
-            self._plane.hold(fp_hex, instance)
-        bases[fp_hex] = instance
-        bases.move_to_end(fp_hex)
-        while len(bases) > self.config.base_cache_size:
-            evicted, _ = bases.popitem(last=False)
-            if self._plane is not None:
-                self._plane.release_hold(evicted)
+    def _tip_for(self, shard: str, delta: dict[str, Any]) -> ResidentShard | None:
+        """The shard's resident when ``delta`` is based on its tip.
 
-    def _base_for(self, shard: str, fp_hex: str) -> Instance | None:
-        bases = self._bases.get(shard)
-        if bases is None:
-            return None
-        instance = bases.get(fp_hex)
-        if instance is not None:
-            bases.move_to_end(fp_hex)
-        return instance
-
-    def _materialize_delta(
-        self, shard: str, base_hex: str, base: Instance, delta: dict[str, Any]
-    ) -> tuple[Instance, bytes]:
-        """Snapshot + fingerprint for a delta frame, memoized.
-
-        A steady client cycles through a fixed set of epoch
-        transitions; hashing the (small) delta arrays identifies a
-        repeat, and when the resulting snapshot is still in the base
-        LRU the whole decode — ``apply_delta``'s three O(n) copies and
-        the O(n) fingerprint hash — collapses to the digest of the
-        changed sites.  Raises like ``apply_delta`` on malformed deltas.
+        ``None`` (counted in ``service.delta_misses``) is not an error
+        in the protocol sense: the client holds a fingerprint that is
+        not (or no longer) this server's tip for the shard, and falls
+        back to one full snapshot.
         """
-        idx = np.asarray(delta["idx"], dtype=np.int64)
-        sizes = np.asarray(delta["sizes"], dtype=np.float64)
-        costs = np.asarray(delta["costs"], dtype=np.float64)
-        initial = np.asarray(delta["initial"], dtype=np.int64)
-        h = hashlib.blake2b(digest_size=16)
-        for arr in (idx, sizes, costs, initial):
-            h.update(arr.tobytes())
-        memo = self._transitions.setdefault(shard, OrderedDict())
-        key = (base_hex, h.digest())
-        known_hex = memo.get(key)
-        if known_hex is not None:
-            memo.move_to_end(key)
-            known = self._base_for(shard, known_hex)
-            if known is not None:
-                self.metrics.add("service.delta_applied")
-                self.metrics.add("service.delta_memo_hits")
-                return known, bytes.fromhex(known_hex)
-        instance = apply_delta(
-            base, {"idx": idx, "sizes": sizes, "costs": costs, "initial": initial}
-        )
-        self.metrics.add("service.delta_applied")
-        fingerprint = snapshot_fingerprint(instance)
-        memo[key] = fingerprint.hex()
-        while len(memo) > self._transitions_cap:
-            memo.popitem(last=False)
-        return instance, fingerprint
+        res = self._residents.get(shard)
+        if res is not None and str(delta.get("base", "")) == res.fp_hex:
+            return res
+        self.metrics.add("service.delta_misses")
+        return None
 
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
     async def _op_rebalance(self, message: dict[str, Any]) -> dict[str, Any]:
         self.metrics.add("service.requests")
-        loop = asyncio.get_running_loop()
         try:
             shard = str(message.get("shard", "default"))
             k = int(message.get("k", 2))
@@ -955,93 +401,25 @@ class RebalanceServer:
             moves_only = bool(message.get("moves_only", False))
             delta = message.get("delta")
             if delta is not None:
-                base_hex = str(delta.get("base", ""))
-                if self._resident_enabled:
-                    res = self._residents.get(shard)
-                    if res is not None and base_hex == res.fp_hex:
-                        # The O(churn) path: the delta lands on the
-                        # resident tip — no Instance is ever built.
-                        return await self._resident_delta(
-                            shard, k, deadline_ms, moves_only, res, delta
-                        )
-                base = self._base_for(shard, base_hex)
-                if base is None:
-                    # Not an error in the protocol sense: the client
-                    # holds a fingerprint this server no longer (or
-                    # never) had, and falls back to a full snapshot.
-                    self.metrics.add("service.delta_misses")
+                res = self._tip_for(shard, delta)
+                if res is None:
                     return error_response("unknown base", shard=shard)
-                instance, fingerprint = self._materialize_delta(
-                    shard, base_hex, base, delta
+                # The O(churn) path: the delta lands on the resident
+                # tip — no Instance is ever built.
+                return await self._resident_delta(
+                    shard, k, deadline_ms, moves_only, res, delta
                 )
-            else:
-                instance = Instance.from_dict(message["instance"])
-                fingerprint = snapshot_fingerprint(instance)
+            instance = Instance.from_dict(message["instance"])
+            fingerprint = snapshot_fingerprint(instance)
         except (KeyError, TypeError, ValueError) as exc:
             self.metrics.add("service.bad_requests")
             return error_response("bad request", message=str(exc))
-
-        if self._resident_enabled:
-            return await self._resident_full(
-                shard, k, deadline_ms, moves_only, instance, fingerprint
-            )
-        fp_hex = fingerprint.hex()
-        self._remember_base(shard, fp_hex, instance)
-        now = loop.time()
-        # Event-loop fast path: a decision-memo hit needs no admission,
-        # no batch, and no solve-thread hop — the decision is a pure
-        # function of (fingerprint, k), so in-flight solves cannot
-        # change the answer.  Plain ``get`` only: the solve thread owns
-        # the memo's LRU reordering and eviction.
-        if self._pool is not None and self.config.decision_cache_size:
-            cached = self._decisions.get((shard, k, fp_hex))
-            if cached is not None:
-                self.metrics.add("service.decision_hits")
-                self.metrics.add("service.ok")
-                self.metrics.observe(
-                    "service.latency_ms", 1e3 * (loop.time() - now)
-                )
-                response = dict(cached)
-                response["fingerprint"] = fp_hex
-                return response
-        # Pin the snapshot's ring slot for the request's whole lifetime
-        # so it is never rewritten under an in-flight solve.
-        token = (
-            self._plane.pin(fp_hex, instance)
-            if self._plane is not None else None
+        return await self._resident_full(
+            shard, k, deadline_ms, moves_only, instance, fingerprint
         )
-        try:
-            request = PendingRequest(
-                shard=shard,
-                k=k,
-                instance=instance,
-                fingerprint=fingerprint,
-                enqueued_at=now,
-                deadline=None if deadline_ms is None else now + deadline_ms / 1e3,
-                future=loop.create_future(),
-                shm=token,
-            )
-            if not self.queue.try_submit(request):
-                return error_response(
-                    "overloaded", retry_after_ms=self.queue.retry_after_ms()
-                )
-            response = await request.future
-        finally:
-            if token is not None and self._plane is not None:
-                self._plane.unpin(token)
-        latency_ms = 1e3 * (loop.time() - request.enqueued_at)
-        self.metrics.observe("service.latency_ms", latency_ms)
-        if response.get("ok"):
-            self.metrics.add("service.ok")
-            # The fingerprint names this snapshot as a future delta
-            # base.  Copy before annotating: deduped requests share one
-            # response object.
-            response = dict(response)
-            response["fingerprint"] = fp_hex
-        return response
 
     # ------------------------------------------------------------------
-    # Resident request paths (thread executor)
+    # Resident request paths
     # ------------------------------------------------------------------
     def _memo_hit(
         self,
@@ -1073,6 +451,9 @@ class RebalanceServer:
         )
         if response.get("ok"):
             self.metrics.add("service.ok")
+            # The fingerprint names this snapshot as a future delta
+            # base.  Copy before annotating: deduped requests share one
+            # response object.
             response = dict(response)
             response["fingerprint"] = fp_hex
         return response
@@ -1103,9 +484,6 @@ class RebalanceServer:
             return error_response("bad request", message=str(exc))
         fingerprint = fp.digest()
         fp_hex = fingerprint.hex()
-        # ``service.delta_applied`` keeps its pre-resident meaning — a
-        # wire delta frame was decoded into the shard's next state — so
-        # dashboards and tests watching it see both decode paths.
         self.metrics.add("service.delta_applied")
         self.metrics.add("service.resident_deltas")
         hit = self._memo_hit((shard, k, fp_hex, moves_only), now, loop)
@@ -1157,9 +535,6 @@ class RebalanceServer:
         loop = asyncio.get_running_loop()
         now = loop.time()
         fp_hex = fingerprint.hex()
-        # Keep the delta-base LRU warm for migrate/replicate exports and
-        # for deltas that race a tip change.
-        self._remember_base(shard, fp_hex, instance)
         res = self._residents.get(shard)
         in_sync = (
             res is not None
@@ -1201,25 +576,23 @@ class RebalanceServer:
     def _op_health(self) -> dict[str, Any]:
         """Liveness probe for the cluster router's health loop.
 
-        Unlike ``status`` this never hops to the solve thread or the
-        worker pipes, so it answers at event-loop latency even while a
-        batch is solving — a health check must not queue behind the
-        work it is checking.
+        Unlike ``status`` this never hops to the solve thread, so it
+        answers at event-loop latency even while a batch is solving — a
+        health check must not queue behind the work it is checking.
         """
         return ok_response(
             op="health",
             uptime_s=time.monotonic() - self._started_at,
             queue_depth=self.queue.depth,
-            executor=self.config.executor,
         )
 
     def _op_replicate(self, message: dict[str, Any]) -> dict[str, Any]:
-        """Install a snapshot into the delta-base LRU without solving.
+        """Advance a shard's resident tip without solving.
 
         This is the standby half of cluster replication: the router
         replays a shard's fingerprinted delta frames here (the delta
         log *is* the replication log), so on promotion the standby
-        already holds warm bases and the first failover request can go
+        already holds the tip and the first failover request can go
         out as a delta.  Same decode path as ``rebalance`` — including
         the ``unknown base`` degradation to one full snapshot — minus
         admission, batching, and the solve.
@@ -1229,179 +602,111 @@ class RebalanceServer:
             shard = str(message.get("shard", "default"))
             delta = message.get("delta")
             if delta is not None:
-                base_hex = str(delta.get("base", ""))
-                if self._resident_enabled:
-                    res = self._residents.get(shard)
-                    if res is not None and base_hex == res.fp_hex:
-                        # Standby O(churn) path: advance the resident tip
-                        # in place.  A standby's solve plane is never
-                        # installed (it does not decide), so the frame
-                        # only needs deferring when a solve plane is
-                        # actually tracking this shard.
-                        frame, fp = res.preview(delta)
-                        res.commit(frame, fp)
-                        if not res.needs_install:
-                            res.defer(frame)
-                        self.metrics.add("service.delta_applied")
-                        self.metrics.add("service.resident_deltas")
-                        self.metrics.add("service.replicated")
-                        return ok_response(
-                            op="replicate", shard=shard, fingerprint=res.fp_hex
-                        )
-                base = self._base_for(shard, base_hex)
-                if base is None:
-                    self.metrics.add("service.delta_misses")
+                res = self._tip_for(shard, delta)
+                if res is None:
                     return error_response("unknown base", shard=shard)
-                instance, fingerprint = self._materialize_delta(
-                    shard, base_hex, base, delta
+                # Standby O(churn) path: advance the resident tip in
+                # place.  A standby's solve plane is never installed (it
+                # does not decide), so the frame only needs deferring
+                # when a solve plane is actually tracking this shard.
+                frame, fp = res.preview(delta)
+                res.commit(frame, fp)
+                if not res.needs_install:
+                    res.defer(frame)
+                self.metrics.add("service.delta_applied")
+                self.metrics.add("service.resident_deltas")
+                self.metrics.add("service.replicated")
+                return ok_response(
+                    op="replicate", shard=shard, fingerprint=res.fp_hex
                 )
-            else:
-                instance = Instance.from_dict(message["instance"])
-                fingerprint = snapshot_fingerprint(instance)
+            instance = Instance.from_dict(message["instance"])
+            fingerprint = snapshot_fingerprint(instance)
         except (KeyError, TypeError, ValueError) as exc:
             self.metrics.add("service.bad_requests")
             return error_response("bad request", message=str(exc))
         fp_hex = fingerprint.hex()
-        self._remember_base(shard, fp_hex, instance)
-        if self._resident_enabled:
-            res = self._residents.get(shard)
-            if res is None or res.fp_hex != fp_hex:
-                # Seed the resident so later replicate deltas (and the
-                # first post-promotion client delta) land on the
-                # O(churn) path.  ``needs_install`` stays True: the
-                # solve plane only learns the state once a real decide
-                # asks for it.
-                self._residents[shard] = ResidentShard(instance)
+        res = self._residents.get(shard)
+        if res is None or res.fp_hex != fp_hex:
+            # Seed the resident so later replicate deltas (and the first
+            # post-promotion client delta) land on the O(churn) path.
+            # ``needs_install`` stays True: the solve plane only learns
+            # the state once a real decide asks for it.
+            self._residents[shard] = ResidentShard(instance)
         self.metrics.add("service.replicated")
         return ok_response(op="replicate", shard=shard, fingerprint=fp_hex)
 
     def _op_migrate(self, message: dict[str, Any]) -> dict[str, Any]:
-        """Export a shard's latest snapshot for live migration.
+        """Export a shard's resident tip for live migration.
 
-        The router drains the shard's lane, pulls the newest delta base
-        from the current owner here, ships it to the new owner as a
+        The router drains the shard's lane, pulls the tip from the
+        current owner here, ships it to the new owner as a
         ``replicate`` frame, and flips routing.  ``found: false`` (not
         an error) when this node never saw the shard — the router then
         falls back to its own copy of the snapshot.
         """
         shard = str(message.get("shard", "default"))
-        res = self._residents.get(shard) if self._resident_enabled else None
-        if res is not None:
-            # The resident tip is by construction the newest state —
-            # the delta-base LRU only sees full-snapshot requests.
-            self.metrics.add("service.migrations")
-            return ok_response(
-                op="migrate",
-                shard=shard,
-                found=True,
-                fingerprint=res.fp_hex,
-                instance=res.export_instance().to_wire(),
-            )
-        bases = self._bases.get(shard)
-        if not bases:
+        res = self._residents.get(shard)
+        if res is None:
             return ok_response(op="migrate", shard=shard, found=False)
-        fp_hex = next(reversed(bases))
-        instance = bases[fp_hex]
         self.metrics.add("service.migrations")
         return ok_response(
             op="migrate",
             shard=shard,
             found=True,
-            fingerprint=fp_hex,
-            instance=instance.to_wire(),
+            fingerprint=res.fp_hex,
+            instance=res.export_instance().to_wire(),
         )
 
     async def _op_status(self) -> dict[str, Any]:
         loop = asyncio.get_running_loop()
         assert self._executor is not None
-        if self._pool is not None:
-            # Worker pipes are only ever driven from the solve thread;
-            # hop there so stats never race an in-flight batch.
-            shards = await loop.run_in_executor(self._executor, self._pool_stats)
-        else:
-            # Thread-mode shard states are created by the solve thread
-            # mid-batch; snapshot them on that same thread so status
-            # never iterates the dict during an insert.
-            shards = await loop.run_in_executor(
-                self._executor, self._thread_shard_stats
-            )
-        residents = None
-        if self._resident_enabled:
-            residents = {
-                name: {
-                    "fingerprint": res.fp_hex,
-                    "pending_frames": len(res.pending),
-                    "needs_install": res.needs_install,
-                    "num_jobs": res.num_jobs,
-                }
-                for name, res in self._residents.items()
+        # Shard states are created by the solve thread mid-batch;
+        # snapshot them on that same thread so status never iterates
+        # the dict during an insert.
+        shards = await loop.run_in_executor(self._executor, self._shard_stats)
+        residents = {
+            name: {
+                "fingerprint": res.fp_hex,
+                "pending_frames": len(res.pending),
+                "needs_install": res.needs_install,
+                "num_jobs": res.num_jobs,
             }
+            for name, res in self._residents.items()
+        }
         return ok_response(
             uptime_s=time.monotonic() - self._started_at,
             config=self.config.as_dict(),
             queue=self.queue.stats(),
             shards=shards,
             residents=residents,
-            shm=self._plane.stats() if self._plane is not None else None,
             metrics=self.metrics.as_dict(),
         )
 
-    def _thread_shard_stats(self) -> dict[str, Any]:
+    def _shard_stats(self) -> dict[str, Any]:
         return {name: state.stats() for name, state in self.shards.items()}
-
-    def _pool_stats(self) -> dict[str, Any]:
-        assert self._pool is not None
-        shards: dict[str, Any] = {}
-        for worker, reply in self._pool.broadcast(
-            pack_payload({"op": "stats"})
-        ).items():
-            stats = unpack_payload(reply)
-            self._note_retained(worker, stats)
-            shards.update(stats["shards"])
-        return shards
-
-    def _note_retained(self, worker: int, message: dict[str, Any]) -> None:
-        """Fold a worker reply's retained map into the snapshot plane."""
-        if self._plane is not None and "retained" in message:
-            self._plane.note_worker_retained(worker, message["retained"])
 
     async def _op_reset(self, message: dict[str, Any]) -> dict[str, Any]:
         shard = message.get("shard")
         names = [str(shard)] if shard is not None else None
-        for name in (names if names is not None else list(self._bases)):
-            bases = self._bases.pop(name, None)
-            if bases and self._plane is not None:
-                for fp_hex in bases:
-                    self._plane.release_hold(fp_hex)
-        for name in (names if names is not None else list(self._transitions)):
-            self._transitions.pop(name, None)
         if names is None:
-            self._decisions.clear()
             self._responses.clear()
             self._residents.clear()
         else:
-            for key in [k for k in self._decisions if k[0] in names]:
-                del self._decisions[key]
             for key in [k for k in self._responses if k[0] in names]:
                 del self._responses[key]
             for name in names:
                 self._residents.pop(name, None)
         loop = asyncio.get_running_loop()
         assert self._executor is not None
-        if self._pool is not None:
-            reset = await loop.run_in_executor(
-                self._executor, self._pool_reset, names
-            )
-        else:
-            # Engines and solve-side residents belong to the solve
-            # thread; resetting them there serializes with any batch.
-            reset = await loop.run_in_executor(
-                self._executor, self._thread_reset, names
-            )
+        # Engines and solve-side residents belong to the solve thread;
+        # resetting them there serializes with any batch.
+        reset = await loop.run_in_executor(
+            self._executor, self._reset_shards, names
+        )
         self.metrics.add("service.resets")
-        return ok_response(reset=sorted(set(reset)))
+        return ok_response(reset=sorted(reset))
 
-    def _thread_reset(self, names: list[str] | None) -> list[str]:
+    def _reset_shards(self, names: list[str] | None) -> list[str]:
         reset = []
         for name in (names if names is not None else list(self.shards)):
             state = self.shards.get(name)
@@ -1412,16 +717,6 @@ class RebalanceServer:
             state.decisions = 0
             self._solve_residents.pop(name, None)
             reset.append(name)
-        return reset
-
-    def _pool_reset(self, names: list[str] | None) -> list[str]:
-        assert self._pool is not None
-        payload = pack_payload({"op": "reset", "shards": names})
-        reset: list[str] = []
-        for worker, reply in self._pool.broadcast(payload).items():
-            message = unpack_payload(reply)
-            self._note_retained(worker, message)
-            reset.extend(message["reset"])
         return reset
 
     # ------------------------------------------------------------------
@@ -1465,9 +760,7 @@ class RebalanceServer:
             "unique": sum(len(lane.solves) for lane in lanes),
             "solve_ms": 1e3 * elapsed,
         }
-        memo = (
-            self.config.decision_cache_size if self._resident_enabled else 0
-        )
+        memo = self.config.decision_cache_size
         for lane, lane_outcomes in zip(lanes, outcomes):
             for solve, outcome in zip(lane.solves, lane_outcomes):
                 if outcome is None:
@@ -1493,16 +786,16 @@ class RebalanceServer:
                     if not request.future.done():
                         request.future.set_result(outcome)
 
-    def _solve_lanes(self, lanes: list[ShardLane]) -> list[list[dict[str, Any]]]:
+    def _solve_lanes(
+        self, lanes: list[ShardLane]
+    ) -> list[list[dict[str, Any] | None]]:
         """Executor-side: fan independent shard lanes out.
 
         Returns, per lane, one response dict per unique solve (in lane
         order).  Runs on the dedicated solve thread; shard states are
         only ever touched from here (one batch at a time), so engines
-        need no locking in either executor mode.
+        need no locking.
         """
-        if self._pool is not None:
-            return self._solve_lanes_process(lanes)
         workers = min(self.config.solver_workers, max(1, len(lanes)))
         if not self.config.solve_delay_s:
             # Real CPU-bound solves past the core count add no
@@ -1528,15 +821,7 @@ class RebalanceServer:
             )
             if rebuilt:
                 self.metrics.add("service.shard_rebuilds")
-            if self._resident_enabled and (
-                solve.install or solve.frames or solve.instance is None
-            ):
-                responses.append(self._solve_resident(state, lane.shard, solve))
-            else:
-                responses.append(_solve_one(
-                    state, solve.instance, solve.k,
-                    solve.requests[0].fingerprint,
-                ))
+            responses.append(self._solve_resident(state, lane.shard, solve))
             if self.config.solve_delay_s:
                 time.sleep(self.config.solve_delay_s)
         return responses
@@ -1548,13 +833,16 @@ class RebalanceServer:
 
         Applies the solve's frames — or reinstalls from a shipped
         snapshot — onto the shard's solve-side arrays, then decides
-        with the accumulated churn hint.  Never raises; ``None`` for an
-        apply-only solve (every requester already expired).
+        with the accumulated churn hint (or, with no engine, solves
+        from scratch).  Never raises; ``None`` for an apply-only solve
+        (every requester already expired).
         """
         engine = state.engine
         try:
             sres = self._solve_residents.get(shard)
-            if solve.install:
+            # A full snapshot whose solve-side resident was reset while
+            # it queued reinstalls from the snapshot it carries.
+            if solve.install or (sres is None and solve.instance is not None):
                 sres = SolveResident(solve.instance)
                 self._solve_residents[shard] = sres
                 hint = None
@@ -1578,11 +866,14 @@ class RebalanceServer:
                     engine.note_churn(*hint)
                 return None
             instance = sres.view()
-            result = engine.rebalance(
-                instance,
-                fingerprint=solve.requests[0].fingerprint,
-                changed=hint,
-            )
+            if engine is None:
+                result = m_partition_rebalance(instance, solve.k)
+            else:
+                result = engine.rebalance(
+                    instance,
+                    fingerprint=solve.requests[0].fingerprint,
+                    changed=hint,
+                )
             state.decisions += 1
             if solve.moves_only:
                 return _moves_response(state, result, instance)
@@ -1595,171 +886,6 @@ class RebalanceServer:
             return error_response(
                 "solve failed", message=f"{type(exc).__name__}: {exc}"
             )
-
-    def _worker_for(self, shard: str) -> int:
-        """Stable shard → worker affinity (``hash()`` is per-process
-        seeded, so crc32 it is)."""
-        return crc32(shard.encode("utf-8")) % self.config.process_workers
-
-    def _wire_solve(self, solve: UniqueSolve, *, inline: bool) -> dict[str, Any]:
-        """One solve's wire form: an O(1) shm slot reference when the
-        snapshot plane holds the snapshot, inline arrays otherwise."""
-        entry: dict[str, Any] = {
-            "k": solve.k,
-            "fp": solve.requests[0].fingerprint.hex(),
-        }
-        # A token pinned before a ring grow references a retired
-        # segment; its (slot, generation) could collide with fresh
-        # writes in the new ring, so stale-epoch tokens go inline.
-        if (
-            not inline
-            and solve.shm is not None
-            and self._plane is not None
-            and solve.shm[2] == self._plane.epoch
-        ):
-            slot, generation, _epoch = solve.shm
-            entry["slot"] = slot
-            entry["gen"] = generation
-            entry["n"] = solve.instance.num_jobs
-            entry["m"] = solve.instance.num_processors
-        else:
-            entry["instance"] = solve.instance.to_wire()
-        return entry
-
-    def _solve_lanes_process(
-        self, lanes: list[ShardLane]
-    ) -> list[list[dict[str, Any]]]:
-        """Route lanes to their affine workers over the binary codec.
-
-        Solves whose ``(shard, k, fingerprint)`` is in the server-side
-        decision memo are answered here; only the misses cross the
-        worker pipe.  Replies scatter back into the original solve
-        positions, so downstream bookkeeping never sees the split.
-        """
-        plane = self._plane
-        if plane is not None and plane.pending_attach:
-            # The ring grew since the last batch: point every worker at
-            # the new segment before wiring any slot references to it.
-            epoch = plane.epoch
-            ring = plane.ring
-            assert self._pool is not None
-            for worker, reply in self._pool.broadcast(pack_payload({
-                "op": "attach",
-                "name": ring.name,
-                "slots": ring.slots,
-                "slot_bytes": ring.slot_bytes,
-            })).items():
-                self._note_retained(worker, unpack_payload(reply))
-            plane.note_attached(epoch)
-        memo = self.config.decision_cache_size
-        results: list[list[dict[str, Any]]] = [
-            [None] * len(lane.solves) for lane in lanes  # type: ignore[list-item]
-        ]
-        pending: dict[int, list[int]] = {}
-        for i, lane in enumerate(lanes):
-            for j, solve in enumerate(lane.solves):
-                key = (lane.shard, solve.k, solve.requests[0].fingerprint.hex())
-                cached = self._decisions.get(key) if memo else None
-                if cached is not None:
-                    self._decisions.move_to_end(key)
-                    self.metrics.add("service.decision_hits")
-                    results[i][j] = dict(cached)
-                else:
-                    pending.setdefault(i, []).append(j)
-        if not pending:
-            return results
-        groups: dict[int, list[int]] = {}
-        for i in pending:
-            groups.setdefault(self._worker_for(lanes[i].shard), []).append(i)
-        assignments: dict[int, bytes] = {}
-        for worker, lane_indices in groups.items():
-            payload = pack_payload({
-                "op": "solve",
-                "lanes": [
-                    {
-                        "shard": lanes[i].shard,
-                        "solves": [
-                            self._wire_solve(lanes[i].solves[j], inline=False)
-                            for j in pending[i]
-                        ],
-                    }
-                    for i in lane_indices
-                ],
-            })
-            self.metrics.add("service.ipc_bytes_out", len(payload))
-            assignments[worker] = payload
-        assert self._pool is not None
-        replies = self._pool.request(assignments)
-        stale: dict[int, list[tuple[int, int]]] = {}
-        for worker, lane_indices in groups.items():
-            reply = replies[worker]
-            self.metrics.add("service.ipc_bytes_in", len(reply))
-            message = unpack_payload(reply)
-            self._note_retained(worker, message)
-            for i, lane_out in zip(lane_indices, message["lanes"]):
-                for j, outcome in zip(pending[i], lane_out):
-                    results[i][j] = outcome
-                    if (
-                        isinstance(outcome, dict)
-                        and outcome.get("error") == "stale segment"
-                    ):
-                        stale.setdefault(worker, []).append((i, j))
-        if stale:
-            self._retry_stale(lanes, results, stale)
-        if memo:
-            for i, where in pending.items():
-                for j in where:
-                    outcome = results[i][j]
-                    if isinstance(outcome, dict) and outcome.get("ok"):
-                        solve = lanes[i].solves[j]
-                        key = (
-                            lanes[i].shard, solve.k,
-                            solve.requests[0].fingerprint.hex(),
-                        )
-                        self._decisions[key] = dict(outcome)
-            while len(self._decisions) > memo:
-                self._decisions.popitem(last=False)
-        return results
-
-    def _retry_stale(
-        self,
-        lanes: list[ShardLane],
-        results: list[list[dict[str, Any]]],
-        stale: dict[int, list[tuple[int, int]]],
-    ) -> None:
-        """Re-send stale-segment solves with inline arrays.
-
-        Request pins make slot recycling under an in-flight solve
-        unreachable, so this path guards the exceptional cases — a
-        worker without a ring attachment or a ring restart — with the
-        PR 5 codec behavior instead of a failed request.
-        """
-        assignments: dict[int, bytes] = {}
-        for worker, where in stale.items():
-            payload = pack_payload({
-                "op": "solve",
-                "lanes": [
-                    {
-                        "shard": lanes[i].shard,
-                        "solves": [
-                            self._wire_solve(lanes[i].solves[j], inline=True)
-                        ],
-                    }
-                    for i, j in where
-                ],
-            })
-            self.metrics.add("service.shm_stale", len(where))
-            self.metrics.add("service.ipc_bytes_out", len(payload))
-            assignments[worker] = payload
-        assert self._pool is not None
-        replies = self._pool.request(assignments)
-        for worker, where in stale.items():
-            reply = replies[worker]
-            self.metrics.add("service.ipc_bytes_in", len(reply))
-            message = unpack_payload(reply)
-            self._note_retained(worker, message)
-            for (i, j), lane_out in zip(where, message["lanes"]):
-                results[i][j] = lane_out[0]
 
 
 # ----------------------------------------------------------------------

@@ -197,6 +197,12 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["E99"])
 
+    def test_help_span_shows_registry_gaps(self):
+        from repro.cli import _runnable_span
+
+        # E16 is retired: the span must not advertise it as runnable.
+        assert _runnable_span() == "E1..E15, E17, A1..A3"
+
 
 class TestScaleAndAblations:
     def test_e11(self):

@@ -1,5 +1,5 @@
 """The O(churn) request path: resident deltas, moves-only responses,
-shm ring growth, and the churn-stream load generator.
+and the churn-stream load generator.
 
 Every differential test holds the same invariant the rest of the suite
 does: no fast path may ever change a decision.  A delta stream applied
@@ -187,68 +187,6 @@ class TestResidentDifferential:
             response = _send_full(client, res, "ub", k, True)
             assert response["ok"]
             assert response["fingerprint"] == res.fp_hex
-
-
-class TestShmRingGrowth:
-    def test_oversize_snapshot_grows_ring_not_inline(self):
-        """A snapshot too big for the configured slot grows the ring
-        (slot size doubles, workers re-attach) instead of silently
-        demoting the shard to the inline codec; decisions stay exact
-        before and after the growth."""
-        config = ServerConfig(
-            executor="process", process_workers=2,
-            shm_slots=8, shm_slot_bytes=512,
-        )
-        n, m, k = 200, 6, 3  # needs ~4.8KiB per slot, 512B configured
-        rng = np.random.default_rng(7)
-        with start_background(config) as handle:
-            with ServiceClient(
-                handle.host, handle.port, protocol="binary"
-            ) as client:
-                for seed in range(3):
-                    inst = make_instance(
-                        sizes=rng.uniform(1.0, 9.0, n),
-                        initial=rng.integers(0, m, n),
-                        num_processors=m,
-                    )
-                    want = m_partition_rebalance(inst, k)
-                    got = client.rebalance(inst, k, shard=f"g{seed}")
-                    np.testing.assert_array_equal(
-                        got.assignment.mapping, want.assignment.mapping
-                    )
-                status = client.status()
-        counters = status["metrics"]["counters"]
-        assert counters.get("service.shm_grows", 0) >= 1
-        assert counters.get("service.shm_writes", 0) >= 1
-        assert status["shm"]["epoch"] >= 1
-        assert status["shm"]["slot_bytes"] > 512
-
-    def test_beyond_cap_falls_back_inline(self):
-        """Past ``shm_max_slot_bytes`` the ring cannot grow; the
-        snapshot falls back to the inline codec path and still decides
-        exactly."""
-        config = ServerConfig(
-            executor="process", process_workers=1,
-            shm_slots=4, shm_slot_bytes=512, shm_max_slot_bytes=1024,
-        )
-        n, m, k = 200, 6, 3
-        rng = np.random.default_rng(9)
-        inst = make_instance(
-            sizes=rng.uniform(1.0, 9.0, n),
-            initial=rng.integers(0, m, n),
-            num_processors=m,
-        )
-        with start_background(config) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                want = m_partition_rebalance(inst, k)
-                got = client.rebalance(inst, k)
-                np.testing.assert_array_equal(
-                    got.assignment.mapping, want.assignment.mapping
-                )
-                status = client.status()
-        counters = status["metrics"]["counters"]
-        assert counters.get("service.shm_grow_failed", 0) >= 1
-        assert counters.get("service.shm_oversize", 0) >= 1
 
 
 class TestChurnStreamLoadgen:

@@ -105,6 +105,29 @@ class TestRebalanceOp:
         batches = [r.meta["service"]["batch"] for r in results]
         assert any(b["unique"] < b["size"] for b in batches)
 
+    def test_repeated_snapshot_hits_server_decision_memo(self, server):
+        """A repeated (shard, k, fingerprint) answers from the server's
+        response memo without another solve — and with the same
+        decision the solve gave the first time."""
+        inst = _instance(seed=29)
+        with ServiceClient(server.host, server.port) as client:
+            first = client.rebalance(inst, 2, shard="memo")
+            before = client.status()["metrics"]
+            again = client.rebalance(inst, 2, shard="memo")
+            after = client.status()["metrics"]
+        _same_decision(again, m_partition_rebalance(inst, 2))
+        assert np.array_equal(
+            again.assignment.mapping, first.assignment.mapping
+        )
+        assert after["counters"].get("service.decision_hits", 0) == (
+            before["counters"].get("service.decision_hits", 0) + 1
+        )
+        # The memo hit never reached the solve thread.
+        assert (
+            after["spans"]["service.solve"]["calls"]
+            == before["spans"]["service.solve"]["calls"]
+        )
+
     def test_expired_deadline_is_shed(self, server):
         with ServiceClient(server.host, server.port, retries=0) as client:
             with pytest.raises(ServiceError, match="deadline exceeded"):
@@ -339,92 +362,6 @@ class TestLifecycle:
                     assert c1.ping() and c2.ping()
 
 
-@pytest.fixture(scope="class")
-def process_server():
-    """One process-executor server shared by the class (spawn is slow)."""
-    config = ServerConfig(executor="process", process_workers=2)
-    with start_background(config) as handle:
-        yield handle
-
-
-class TestProcessExecutor:
-    def test_decisions_match_scratch_across_shards(self, process_server):
-        insts = [_instance(seed=s) for s in (1, 2, 3)]
-        with ServiceClient(process_server.host, process_server.port) as client:
-            for i, inst in enumerate(insts):
-                result = client.rebalance(inst, 3, shard=f"shard-{i}")
-                _same_decision(result, m_partition_rebalance(inst, 3))
-
-    def test_warm_engine_state_survives_across_batches(self):
-        # Memo off so the repeat actually reaches the worker: the
-        # byte-identical snapshot must hit the worker's warm decision
-        # cache — proof the shard stayed in one process.
-        config = ServerConfig(
-            executor="process", process_workers=2, decision_cache_size=0
-        )
-        inst = _instance(seed=9)
-        with start_background(config) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                client.rebalance(inst, 2, shard="warm")
-                client.rebalance(inst, 2, shard="warm")
-                status = client.status()
-        assert status["shards"]["warm"]["engine"]["cache_hits"] >= 1
-
-    def test_repeated_snapshot_hits_server_decision_memo(
-        self, process_server
-    ):
-        """A repeated (shard, k, fingerprint) answers from the server's
-        decision memo without another worker round trip — and with the
-        same decision the worker gave the first time."""
-        inst = _instance(seed=29)
-        with ServiceClient(process_server.host, process_server.port) as client:
-            first = client.rebalance(inst, 2, shard="memo")
-            before = client.status()["metrics"]["counters"]
-            again = client.rebalance(inst, 2, shard="memo")
-            after = client.status()["metrics"]["counters"]
-        _same_decision(again, m_partition_rebalance(inst, 2))
-        assert np.array_equal(
-            again.assignment.mapping, first.assignment.mapping
-        )
-        assert after.get("service.decision_hits", 0) > before.get(
-            "service.decision_hits", 0
-        )
-        # The memo hit must not have crossed the worker pipe.
-        assert after["service.ipc_bytes_out"] == before["service.ipc_bytes_out"]
-
-    def test_status_merges_worker_stats(self, process_server):
-        with ServiceClient(process_server.host, process_server.port) as client:
-            client.rebalance(_instance(seed=4), 2, shard="stats-a")
-            client.rebalance(_instance(seed=5), 2, shard="stats-b")
-            status = client.status()
-        assert status["config"]["executor"] == "process"
-        assert status["shards"]["stats-a"]["decisions"] >= 1
-        assert status["shards"]["stats-b"]["decisions"] >= 1
-
-    def test_reset_spans_workers(self, process_server):
-        with ServiceClient(process_server.host, process_server.port) as client:
-            client.rebalance(_instance(seed=6), 2, shard="reset-a")
-            client.rebalance(_instance(seed=7), 2, shard="reset-b")
-            reset = client.reset()
-            status = client.status()
-        assert {"reset-a", "reset-b"} <= set(reset)
-        assert status["shards"]["reset-a"]["decisions"] == 0
-        assert status["shards"]["reset-b"]["decisions"] == 0
-
-    def test_k_change_rebuilds_worker_engine(self, process_server):
-        inst = _instance(seed=8)
-        with ServiceClient(process_server.host, process_server.port) as client:
-            client.rebalance(inst, 2, shard="kchange")
-            result = client.rebalance(inst, 4, shard="kchange")
-        _same_decision(result, m_partition_rebalance(inst, 4))
-
-    def test_invalid_executor_config_rejected(self):
-        with pytest.raises(ValueError):
-            ServerConfig(executor="fiber")
-        with pytest.raises(ValueError):
-            ServerConfig(executor="process", process_workers=0)
-
-
 class TestBinaryAndDelta:
     def test_binary_client_matches_scratch(self, server):
         inst = _instance(seed=20)
@@ -497,13 +434,13 @@ class TestBinaryAndDelta:
             ServiceClient(server.host, server.port, delta=True)
 
     def test_delta_base_evicted_by_lru_falls_back_to_full(self):
-        """Distinct snapshots streaming through a shard push older
-        delta bases out of the bounded LRU; a delta against an evicted
-        base bounces as ``unknown base`` and the client transparently
-        re-sends the full snapshot."""
+        """Distinct snapshots streaming through a shard supersede the
+        resident tip; a delta against a superseded base bounces as
+        ``unknown base`` and the client transparently re-sends the
+        full snapshot."""
         from repro.core.instance import Instance
 
-        config = ServerConfig(base_cache_size=2)
+        config = ServerConfig()
         inst = _instance(seed=30, n=40)
         sizes = inst.sizes.copy()
         sizes[5] *= 1.5
@@ -517,7 +454,7 @@ class TestBinaryAndDelta:
             ) as client, ServiceClient(handle.host, handle.port) as probe:
                 client.rebalance(inst, 2, shard="ev")
                 # Two more distinct snapshots through the same shard
-                # evict the delta client's base from the size-2 LRU.
+                # move the resident tip off the delta client's base.
                 probe.rebalance(_instance(seed=31, n=40), 2, shard="ev")
                 probe.rebalance(_instance(seed=32, n=40), 2, shard="ev")
                 result = client.rebalance(changed, 2, shard="ev")
@@ -527,7 +464,22 @@ class TestBinaryAndDelta:
                 assert counters.get("service.delta_misses", 0) >= 1
         _same_decision(result, m_partition_rebalance(changed, 2))
 
-    def test_malformed_delta_is_bad_request(self, server):
+    @pytest.mark.parametrize(
+        "sizes, costs, idx",
+        [
+            ([1.0, 1.0], [1.0, 1.0], [0, 99999]),  # index out of range
+            ([0.0, 1.0], [1.0, 1.0], [0, 1]),
+            ([-5.0, 1.0], [1.0, 1.0], [0, 1]),
+            ([float("nan"), 1.0], [1.0, 1.0], [0, 1]),
+            ([1.0, 1.0], [float("inf"), 1.0], [0, 1]),
+            ([1.0, 1.0], [-1.0, 1.0], [0, 1]),
+        ],
+        ids=["index", "zero-size", "negative-size", "nan-size",
+             "inf-cost", "negative-cost"],
+    )
+    def test_malformed_delta_is_bad_request(self, server, sizes, costs, idx):
+        """A delta with values a full snapshot is rejected for answers
+        ``bad request`` and leaves the resident tip where it was."""
         inst = _instance(seed=24)
         with ServiceClient(
             server.host, server.port, retries=0, protocol="binary"
@@ -538,9 +490,11 @@ class TestBinaryAndDelta:
             })
             response = client.call({
                 "op": "rebalance", "shard": "md", "k": 2,
-                "delta": {"base": ok["fingerprint"],
-                          "idx": [0, 99999], "sizes": [1.0, 1.0],
-                          "costs": [1.0, 1.0], "initial": [0, 0]},
+                "delta": {"base": ok["fingerprint"], "idx": idx,
+                          "sizes": sizes, "costs": costs,
+                          "initial": [0, 0]},
             })
+            tip = client.status()["residents"]["md"]["fingerprint"]
         assert response["ok"] is False
         assert response["error"] == "bad request"
+        assert tip == ok["fingerprint"]

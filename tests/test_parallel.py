@@ -210,294 +210,3 @@ class TestThreadExecutor:
 
     def test_serial_ignores_executor_kind(self):
         assert run_sweep(_square, [3], workers=1, executor="thread") == [9]
-
-
-# ----------------------------------------------------------------------
-# PersistentWorkerPool (module-level handlers: spawn must pickle them)
-# ----------------------------------------------------------------------
-_PWP_STATE = {"count": 0, "tag": ""}
-
-
-def _pwp_echo(payload: bytes) -> bytes:
-    return b"echo:" + payload
-
-
-def _pwp_count(payload: bytes) -> bytes:
-    _PWP_STATE["count"] += 1
-    return b"%d" % _PWP_STATE["count"]
-
-
-def _pwp_fail_on_boom(payload: bytes) -> bytes:
-    if payload == b"boom":
-        raise ValueError("kaput")
-    return payload
-
-
-def _pwp_init_tag(tag: str) -> None:
-    _PWP_STATE["tag"] = tag
-
-
-def _pwp_read_tag(payload: bytes) -> bytes:
-    return _PWP_STATE["tag"].encode()
-
-
-def _pwp_bad_init() -> None:
-    raise RuntimeError("init exploded")
-
-
-_PWP_RING = {}
-
-
-def _pwp_ring_attach(name: str, slots: int, slot_bytes: int) -> None:
-    from repro.parallel import SnapshotRing
-
-    _PWP_RING["ring"] = SnapshotRing.attach(name, slots, slot_bytes)
-
-
-def _pwp_ring_read(payload: bytes) -> bytes:
-    import json
-
-    request = json.loads(payload)
-    views = _PWP_RING["ring"].read(
-        request["slot"], request["gen"], request["n"]
-    )
-    if views is None:
-        return b"stale"
-    sizes, costs, initial = views
-    assert not sizes.flags.writeable
-    return json.dumps(
-        [sizes.tolist(), costs.tolist(), initial.tolist()]
-    ).encode()
-
-
-class TestPersistentWorkerPool:
-    def test_echo_round_trip(self):
-        from repro.parallel import PersistentWorkerPool
-
-        with PersistentWorkerPool(_pwp_echo, workers=2) as pool:
-            replies = pool.request({0: b"a", 1: b"b"})
-        assert replies == {0: b"echo:a", 1: b"echo:b"}
-
-    def test_worker_state_is_addressable(self):
-        """Repeated requests to one worker index hit the same process
-        (its counter keeps climbing) while another stays independent —
-        the shard-affinity property the service executor relies on."""
-        from repro.parallel import PersistentWorkerPool
-
-        with PersistentWorkerPool(_pwp_count, workers=2) as pool:
-            assert pool.request({0: b"x"}) == {0: b"1"}
-            assert pool.request({0: b"x"}) == {0: b"2"}
-            assert pool.request({1: b"x"}) == {1: b"1"}
-            assert pool.request({0: b"x", 1: b"x"}) == {0: b"3", 1: b"2"}
-
-    def test_initializer_runs_per_worker(self):
-        from repro.parallel import PersistentWorkerPool
-
-        with PersistentWorkerPool(
-            _pwp_read_tag, workers=2,
-            initializer=_pwp_init_tag, initargs=("ready",),
-        ) as pool:
-            assert pool.broadcast(b"?") == {0: b"ready", 1: b"ready"}
-
-    def test_handler_error_surfaces_and_worker_survives(self):
-        from repro.parallel import PersistentWorkerPool
-
-        with PersistentWorkerPool(_pwp_fail_on_boom, workers=1) as pool:
-            with pytest.raises(RuntimeError, match="kaput"):
-                pool.request({0: b"boom"})
-            # The worker served the error and keeps serving.
-            assert pool.request({0: b"fine"}) == {0: b"fine"}
-
-    def test_error_drains_every_addressed_worker(self):
-        """Regression: raising on the first ``_ERR`` reply used to
-        leave the other workers' replies sitting in their pipes, so the
-        *next* request read round-stale payloads.  All addressed
-        workers must be drained before the error surfaces."""
-        from repro.parallel import PersistentWorkerPool
-
-        with PersistentWorkerPool(_pwp_fail_on_boom, workers=2) as pool:
-            with pytest.raises(RuntimeError, match="kaput"):
-                pool.request({0: b"boom", 1: b"healthy"})
-            # Worker 1's healthy reply from the failed round must not
-            # masquerade as this round's answer.
-            assert pool.request({0: b"a", 1: b"b"}) == {0: b"a", 1: b"b"}
-
-    def test_all_workers_failing_still_drains(self):
-        from repro.parallel import PersistentWorkerPool
-
-        with PersistentWorkerPool(_pwp_fail_on_boom, workers=2) as pool:
-            with pytest.raises(RuntimeError, match="kaput"):
-                pool.request({0: b"boom", 1: b"boom"})
-            assert pool.request({0: b"x", 1: b"y"}) == {0: b"x", 1: b"y"}
-
-    def test_failed_initializer_raises_at_construction(self):
-        from repro.parallel import PersistentWorkerPool
-
-        with pytest.raises(RuntimeError, match="init exploded"):
-            PersistentWorkerPool(_pwp_echo, workers=1, initializer=_pwp_bad_init)
-
-    def test_empty_payload_reserved(self):
-        from repro.parallel import PersistentWorkerPool
-
-        with PersistentWorkerPool(_pwp_echo, workers=1) as pool:
-            with pytest.raises(ValueError):
-                pool.request({0: b""})
-
-    def test_close_is_idempotent(self):
-        from repro.parallel import PersistentWorkerPool
-
-        pool = PersistentWorkerPool(_pwp_echo, workers=1)
-        pool.close()
-        pool.close()
-
-    def test_zero_workers_rejected(self):
-        from repro.parallel import PersistentWorkerPool
-
-        with pytest.raises(ValueError):
-            PersistentWorkerPool(_pwp_echo, workers=0)
-
-
-# ----------------------------------------------------------------------
-# SnapshotRing: the shared-memory snapshot plane's storage layer
-# ----------------------------------------------------------------------
-class TestSnapshotRing:
-    def _arrays(self, n: int, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        return (
-            rng.uniform(1.0, 9.0, n),
-            rng.uniform(0.5, 2.0, n),
-            rng.integers(0, 4, n),
-        )
-
-    def test_write_read_round_trip_zero_copy(self):
-        from repro.parallel import SnapshotRing
-
-        ring = SnapshotRing.create(slots=4, slot_bytes=4096)
-        try:
-            sizes, costs, initial = self._arrays(100)
-            ring.write(2, 1, sizes, costs, initial)
-            views = ring.read(2, 1, 100)
-            assert views is not None
-            np.testing.assert_array_equal(views[0], sizes)
-            np.testing.assert_array_equal(views[1], costs)
-            np.testing.assert_array_equal(views[2], initial)
-            for view in views:
-                assert not view.flags.writeable
-                assert view.base is not None  # aliases the shm pages
-            del view, views  # release the mapping before close()
-        finally:
-            ring.close()
-
-    def test_generation_mismatch_reads_none(self):
-        from repro.parallel import SnapshotRing
-
-        ring = SnapshotRing.create(slots=2, slot_bytes=4096)
-        try:
-            sizes, costs, initial = self._arrays(10)
-            ring.write(0, 1, sizes, costs, initial)
-            assert ring.read(0, 2, 10) is None       # recycled generation
-            assert ring.read(0, 1, 11) is None       # wrong length
-            assert ring.read(5, 1, 10) is None       # out-of-range slot
-            assert ring.read(1, 0, 10) is None       # never-written slot
-            assert ring.read(0, 1, 10) is not None   # the real coordinates
-        finally:
-            ring.close()
-
-    def test_rewrite_bumps_generation_and_invalidates(self):
-        from repro.parallel import SnapshotRing
-
-        ring = SnapshotRing.create(slots=1, slot_bytes=4096)
-        try:
-            first = self._arrays(8, seed=1)
-            second = self._arrays(8, seed=2)
-            ring.write(0, 1, *first)
-            ring.write(0, 2, *second)
-            assert ring.read(0, 1, 8) is None
-            views = ring.read(0, 2, 8)
-            np.testing.assert_array_equal(views[0], second[0])
-            del views  # release the mapping before close()
-        finally:
-            ring.close()
-
-    def test_fits_and_oversize_write_rejected(self):
-        from repro.parallel import SnapshotRing
-
-        # 16-byte header + 3 arrays * 8 bytes * n
-        ring = SnapshotRing.create(slots=1, slot_bytes=16 + 24 * 10)
-        try:
-            assert ring.fits(10)
-            assert not ring.fits(11)
-            with pytest.raises(ValueError, match="exceeds"):
-                ring.write(0, 1, *self._arrays(11))
-        finally:
-            ring.close()
-
-    def test_reader_cannot_write(self):
-        from repro.parallel import SnapshotRing
-
-        ring = SnapshotRing.create(slots=1, slot_bytes=4096)
-        try:
-            reader = SnapshotRing.attach(ring.name, 1, 4096)
-            try:
-                with pytest.raises(RuntimeError, match="owner"):
-                    reader.write(0, 1, *self._arrays(4))
-            finally:
-                reader.close()
-        finally:
-            ring.close()
-
-    def test_owner_close_unlinks_segment(self):
-        from multiprocessing import shared_memory
-
-        from repro.parallel import SnapshotRing
-
-        ring = SnapshotRing.create(slots=1, slot_bytes=64)
-        name = ring.name
-        ring.close()
-        ring.close()  # idempotent
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_geometry_validated(self):
-        from repro.parallel import SnapshotRing
-
-        with pytest.raises(ValueError):
-            SnapshotRing.create(slots=0, slot_bytes=64)
-        with pytest.raises(ValueError):
-            SnapshotRing.create(slots=1, slot_bytes=16)
-        with pytest.raises(ValueError):
-            SnapshotRing.create(slots=1, slot_bytes=100)  # not 8-aligned
-
-    def test_cross_process_attach_and_generation_guard(self):
-        """A spawned worker attaches by name, reads the exact bytes the
-        owner wrote, and sees a recycled slot as ``None`` — the whole
-        reader-side contract the service's worker pool relies on."""
-        import json
-
-        from repro.parallel import PersistentWorkerPool, SnapshotRing
-
-        ring = SnapshotRing.create(slots=2, slot_bytes=4096)
-        try:
-            sizes, costs, initial = self._arrays(25, seed=3)
-            ring.write(1, 7, sizes, costs, initial)
-            with PersistentWorkerPool(
-                _pwp_ring_read, workers=1,
-                initializer=_pwp_ring_attach,
-                initargs=(ring.name, 2, 4096),
-            ) as pool:
-                reply = pool.request({
-                    0: json.dumps({"slot": 1, "gen": 7, "n": 25}).encode()
-                })[0]
-                got_sizes, got_costs, got_initial = json.loads(reply)
-                np.testing.assert_array_equal(got_sizes, sizes)
-                np.testing.assert_array_equal(got_costs, costs)
-                np.testing.assert_array_equal(got_initial, initial)
-                # Owner recycles the slot: the promised generation no
-                # longer matches, and the reader must refuse the view.
-                ring.write(1, 8, *self._arrays(25, seed=4))
-                reply = pool.request({
-                    0: json.dumps({"slot": 1, "gen": 7, "n": 25}).encode()
-                })[0]
-                assert reply == b"stale"
-        finally:
-            ring.close()

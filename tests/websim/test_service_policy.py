@@ -95,11 +95,9 @@ class TestServicePolicyDifferential:
 
 
 class TestTransportDifferential:
-    """The PR's acceptance test: the same simulation driven over
-    v1-JSON, v2-binary, and v2-delta transports — and through the
-    multi-process shard executor — produces byte-identical
-    trajectories.  The wire format and the executor are pure transport;
-    the decision stream never changes."""
+    """The same simulation driven over v1-JSON, v2-binary, and v2-delta
+    transports produces byte-identical trajectories.  The wire format
+    is pure transport; the decision stream never changes."""
 
     TRANSPORTS = (
         {"protocol": "json"},
@@ -161,30 +159,6 @@ class TestTransportDifferential:
             assert counters.get("service.delta_applied", 0) > 0
         finally:
             policy.close()
-
-    @pytest.mark.parametrize("shm", [True, False], ids=["shm", "inline"])
-    def test_process_executor_trajectory_identical(self, shm):
-        """Byte-identical through the process executor both over the
-        shared-memory snapshot plane and the inline codec path — the
-        shm plane is pure transport, never a different decision."""
-        config = ServerConfig(
-            executor="process", process_workers=2, shm=shm
-        )
-        want = _simulation(EngineMPartitionPolicy(k=K), seed=35).run(EPOCHS)
-        with start_background(config) as handle:
-            got = self._trajectory(
-                handle.host, handle.port, 35,
-                shard="proc", protocol="binary", delta=True,
-            )
-            with ServiceClient(handle.host, handle.port) as probe:
-                status = probe.status()
-        self._assert_identical(got, want)
-        if shm:
-            assert status["metrics"]["counters"].get(
-                "service.shm_writes", 0
-            ) > 0
-        else:
-            assert status["shm"] is None
 
 
 class TestServicePolicyMechanics:
