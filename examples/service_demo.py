@@ -9,8 +9,9 @@ micro-batcher.  This demo walks the whole loop:
 1. start a server in a background thread,
 2. solve one snapshot remotely and check it matches the in-process
    solver byte for byte (the service's core contract),
-3. fan out duplicate submissions with the async client and watch the
-   batcher collapse them into a single solve,
+3. fan out duplicate submissions with the async client and check that
+   they cost at most one fresh engine decision (the batcher collapses
+   them, or the server's response memo answers them),
 4. read the server's own account of all that from ``status``,
 5. run a short open-loop load-generation burst and print the report.
 
@@ -54,7 +55,7 @@ with start_background(ServerConfig()) as server:
         print(
             f"remote makespan {remote.makespan:.0f} == local "
             f"{local.makespan:.0f}  (round trip "
-            f"{svc['latency_s'] * 1e3:.1f} ms, batch {svc['batch']})"
+            f"{svc['latency_s'] * 1e3:.1f} ms, batch {svc.get('batch')})"
         )
 
         # 2. duplicate submissions collapse into one solve ------------
@@ -71,10 +72,28 @@ with start_background(ServerConfig()) as server:
                 for c in clients:
                     await c.close()
 
+        def fresh_decisions() -> int:
+            engine = client.status()["shards"]["demo"]["engine"]
+            return engine["decisions"] - engine["cache_hits"]
+
+        before = fresh_decisions()
         results = asyncio.run(storm())
-        batches = [r.meta["service"]["batch"] for r in results]
-        print(f"6 concurrent identical requests -> batches {batches[0]} ...")
-        assert any(b["unique"] < b["size"] for b in batches), "no dedupe?"
+        fresh = fresh_decisions() - before
+        for r in results:
+            assert np.array_equal(
+                r.assignment.mapping, local.assignment.mapping
+            )
+        # A memo answer describes no batch, so only solved ones carry it.
+        batches = [
+            r.meta["service"]["batch"]
+            for r in results if "batch" in r.meta["service"]
+        ]
+        print(
+            f"6 concurrent identical requests -> {fresh} fresh engine "
+            f"decision(s), {len(results) - len(batches)} memo answers"
+            + (f", batches {batches[0]} ..." if batches else "")
+        )
+        assert fresh <= 1, "duplicates were solved more than once"
 
         # 3. the server's own view ------------------------------------
         status = client.status()

@@ -14,8 +14,8 @@ instance and amortizes the solver state across them:
   (:class:`~repro.core.thresholds.ThresholdTables`) are kept between
   calls and patched via :func:`~repro.core.thresholds.patch_tables`:
   only the processors whose job composition changed are re-sorted,
-  ``O(changed · n_i log n_i)`` instead of the full ``O(n log n)``
-  Python bucketing pass.
+  ``O(changed · n_i log n_i)`` instead of the full ``O(n log n)`` sort
+  of every job.
 * **Vectorized guess evaluation** — ``(a_i, b_i, has_large_i)`` for
   *all* processors at once from flattened prefix arrays (a handful of
   numpy passes over ``n`` elements) instead of three ``searchsorted``

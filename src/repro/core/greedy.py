@@ -39,6 +39,7 @@ from .. import telemetry
 from .assignment import Assignment
 from .instance import Instance
 from .result import RebalanceResult
+from .thresholds import processor_view
 
 __all__ = ["greedy_rebalance"]
 
@@ -83,7 +84,6 @@ def greedy_rebalance(
         raise ValueError(f"unknown insert_order {insert_order!r}")
     tmark = telemetry.mark()
     m = instance.num_processors
-    n = instance.num_jobs
     heap_pops = 0
 
     # --- Step 1: k removals of the largest job on the max-load processor.
@@ -91,13 +91,10 @@ def greedy_rebalance(
     # stale iff its version lags the processor's current one, so
     # correctness never rests on float round-trip identity.
     with telemetry.span("greedy.step1"):
-        stacks: list[list[tuple[float, int]]] = [[] for _ in range(m)]
-        for j in range(n):
-            stacks[int(instance.initial[j])].append(
-                (float(instance.sizes[j]), j)
-            )
-        for stack in stacks:
-            stack.sort()  # ascending by (size, index); pop() gives the largest
+        # Processor p's remaining jobs are order[first[p]:top[p]],
+        # ascending by (size, index); a removal moves top[p] down.
+        order, cuts = processor_view(instance)
+        first, top = cuts[:-1].tolist(), cuts[1:].tolist()
         loads = [float(x) for x in instance.initial_loads]
         version = [0] * m
         max_heap = [(-loads[p], 0, p) for p in range(m)]
@@ -109,10 +106,12 @@ def greedy_rebalance(
             heap_pops += 1
             if ver != version[p]:
                 continue  # stale heap entry
-            if not stacks[p]:
+            if top[p] == first[p]:
                 heapq.heappush(max_heap, (neg_load, ver, p))
                 break  # max-load processor empty => nothing left to remove
-            size, j = stacks[p].pop()
+            top[p] -= 1
+            j = int(order[top[p]])
+            size = float(instance.sizes[j])
             loads[p] -= size
             removed.append((size, j))
             version[p] += 1

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import heapq
 
-import numpy as np
-
 from .instance import Instance
+from .thresholds import processor_view
 
 __all__ = [
     "average_load_bound",
@@ -48,18 +47,16 @@ def greedy_removal_bound(instance: Instance, k: int) -> float:
     on ``OPT(k)`` (reassigning the deleted jobs can only increase some
     processor's load).
 
-    Runs in ``O(n log n)``: jobs are pre-sorted per processor and a max
-    heap tracks processor loads.
+    Runs in ``O(n log n)``: one :func:`~repro.core.thresholds.processor_view`
+    sort, then ``O(k log m)`` for the max heap of processor loads.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     m = instance.num_processors
-    # Per-processor stacks of job sizes, largest on top.
-    stacks: list[list[float]] = [[] for _ in range(m)]
-    for j in range(instance.num_jobs):
-        stacks[int(instance.initial[j])].append(float(instance.sizes[j]))
-    for stack in stacks:
-        stack.sort()  # ascending; pop() yields the largest
+    # Processor p's remaining jobs are order[first[p]:top[p]], ascending
+    # by size; deleting its largest moves top[p] down.
+    order, cuts = processor_view(instance)
+    first, top = cuts[:-1].tolist(), cuts[1:].tolist()
     loads = [float(x) for x in instance.initial_loads]
     # Max-heap of (-load, processor).
     heap = [(-loads[p], p) for p in range(m)]
@@ -69,12 +66,12 @@ def greedy_removal_bound(instance: Instance, k: int) -> float:
         neg_load, p = heapq.heappop(heap)
         if -neg_load != loads[p]:
             continue  # stale entry
-        if not stacks[p]:
+        if top[p] == first[p]:
             # Most-loaded processor is empty => all processors empty.
             heapq.heappush(heap, (neg_load, p))
             break
-        largest = stacks[p].pop()
-        loads[p] -= largest
+        top[p] -= 1
+        loads[p] -= float(instance.sizes[order[top[p]]])
         heapq.heappush(heap, (-loads[p], p))
         removed += 1
     return max(loads) if loads else 0.0

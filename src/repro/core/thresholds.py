@@ -42,6 +42,7 @@ __all__ = [
     "patch_tables",
     "patch_tables_hint",
     "proc_candidates",
+    "processor_view",
     "scan_start",
 ]
 
@@ -130,28 +131,65 @@ class ThresholdTables:
         return int(self.sizes_asc.shape[0]) - small
 
 
+def processor_view(
+    instance: Instance, jobs: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jobs grouped by processor, each group ascending by ``(size, index)``.
+
+    Returns ``(order, cuts)``: ``order`` holds the job indices sorted by
+    ``(processor, size, index)`` — all jobs, or only ``jobs`` (ascending
+    indices) when given — and processor ``p``'s jobs are
+    ``order[cuts[p]:cuts[p + 1]]``.  Whole-array sorts and no per-job
+    Python: an unstable argsort of the sizes, one sort of packed
+    ``(size rank, index)`` keys only when sizes tie, then a stable sort
+    on processor ids, which numpy radix-sorts when they fit in 16 bits.
+    """
+    m = instance.num_processors
+    sizes, procs = instance.sizes, instance.initial
+    if jobs is not None:
+        sizes, procs = sizes[jobs], procs[jobs]
+    order = np.argsort(sizes)
+    ranked = sizes[order]
+    ties = ranked[1:] == ranked[:-1]
+    if ties.any():
+        bits = order.shape[0].bit_length()
+        key = np.cumsum(np.concatenate(([0], ~ties))) << bits
+        key |= order
+        key.sort()
+        order = key & ((1 << bits) - 1)
+    keys = procs[order]
+    if m <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    order = order[np.argsort(keys, kind="stable")]
+    if jobs is not None:
+        order = jobs[order]
+    cuts = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(procs, minlength=m), out=cuts[1:])
+    return order, cuts
+
+
+def _processor_table(jobs_asc: np.ndarray, sizes_asc: np.ndarray) -> ProcessorTable:
+    # Prefix sums accumulate per processor: a global cumsum minus
+    # offsets would round differently.
+    prefix = np.concatenate(([0.0], np.cumsum(sizes_asc)))
+    return ProcessorTable(jobs_asc=jobs_asc, sizes_asc=sizes_asc, prefix=prefix)
+
+
 def build_tables(instance: Instance) -> ThresholdTables:
     """Sort each processor's jobs and build prefix sums.
 
     ``O(n log n)`` total, matching the first-run cost in Theorem 3.
     """
-    order = np.lexsort((np.arange(instance.num_jobs), instance.sizes))
-    # Bucket the globally sorted jobs by processor; each bucket stays
-    # sorted ascending by (size, index).
-    buckets: list[list[int]] = [[] for _ in range(instance.num_processors)]
-    for j in order:
-        buckets[int(instance.initial[j])].append(int(j))
-    processors = []
-    for bucket in buckets:
-        jobs_asc = np.asarray(bucket, dtype=np.int64)
-        sizes_asc = instance.sizes[jobs_asc] if bucket else np.empty(0)
-        prefix = np.concatenate(([0.0], np.cumsum(sizes_asc)))
-        processors.append(
-            ProcessorTable(jobs_asc=jobs_asc, sizes_asc=sizes_asc, prefix=prefix)
-        )
+    order, cuts = processor_view(instance)
+    sizes = instance.sizes[order]
+    bounds = cuts.tolist()
+    processors = tuple(
+        _processor_table(order[lo:hi], sizes[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    )
     return ThresholdTables(
         instance=instance,
-        processors=tuple(processors),
+        processors=processors,
         sizes_asc=np.sort(instance.sizes),
     )
 
@@ -163,11 +201,10 @@ def patch_tables(
 
     Compares ``instance`` against ``tables.instance`` job by job; only
     the processors that gained, lost or resized a job get their
-    ascending order and prefix sums rebuilt.  The rebuild of the
-    affected buckets is one vectorized lexsort over the affected jobs —
-    ``O(changed_jobs * log(changed_jobs))`` plus ``O(n)`` for the diff
-    masks — instead of :func:`build_tables`'s full ``O(n)`` Python
-    bucketing pass.
+    ascending order and prefix sums rebuilt, from one
+    :func:`processor_view` over those processors' jobs —
+    ``O(a log a)`` for ``a`` affected jobs, plus ``O(n)`` for the diff
+    masks.
 
     Returns ``(new_tables, buckets_patched)``.  Falls back to a full
     :func:`build_tables` (returning ``buckets_patched == -1``) when the
@@ -194,35 +231,18 @@ def patch_tables(
             ),
             0,
         )
-    changed_procs = np.unique(
-        np.concatenate(
-            (old.initial[changed_jobs], instance.initial[changed_jobs])
-        )
-    )
     affected_mask = np.zeros(instance.num_processors, dtype=bool)
-    affected_mask[changed_procs] = True
+    affected_mask[old.initial[changed_jobs]] = True
+    affected_mask[instance.initial[changed_jobs]] = True
+    changed_procs = np.flatnonzero(affected_mask)
     affected_jobs = np.flatnonzero(affected_mask[instance.initial])
-    # One sort groups every affected job by (processor, size, index) —
-    # the exact per-bucket order build_tables produces.
-    order = np.lexsort(
-        (
-            affected_jobs,
-            instance.sizes[affected_jobs],
-            instance.initial[affected_jobs],
-        )
-    )
-    sorted_jobs = affected_jobs[order]
-    sorted_procs = instance.initial[sorted_jobs]
-    starts = np.searchsorted(sorted_procs, changed_procs, side="left")
-    ends = np.searchsorted(sorted_procs, changed_procs, side="right")
+    order, cuts = processor_view(instance, affected_jobs)
+    sizes = instance.sizes[order]
+    bounds = cuts.tolist()
     processors = list(tables.processors)
-    for p, lo, hi in zip(changed_procs, starts, ends):
-        jobs_asc = sorted_jobs[lo:hi]
-        sizes_asc = instance.sizes[jobs_asc] if hi > lo else np.empty(0)
-        prefix = np.concatenate(([0.0], np.cumsum(sizes_asc)))
-        processors[int(p)] = ProcessorTable(
-            jobs_asc=jobs_asc, sizes_asc=sizes_asc, prefix=prefix
-        )
+    for p in changed_procs.tolist():
+        lo, hi = bounds[p], bounds[p + 1]
+        processors[p] = _processor_table(order[lo:hi], sizes[lo:hi])
     sizes_asc = np.sort(instance.sizes) if size_changed.any() else tables.sizes_asc
     return (
         ThresholdTables(

@@ -698,6 +698,8 @@ class ClusterRouter:
             k = int(message.get("k", 2))
             delta = message.get("delta")
             if delta is not None:
+                if not isinstance(delta, dict):
+                    raise TypeError("delta must be an object")
                 res = self._residents.get(shard)
                 if res is not None and str(delta.get("base", "")) == res.fp_hex:
                     return await self._op_rebalance_delta(

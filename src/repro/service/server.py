@@ -368,8 +368,11 @@ class RebalanceServer:
         ``None`` (counted in ``service.delta_misses``) is not an error
         in the protocol sense: the client holds a fingerprint that is
         not (or no longer) this server's tip for the shard, and falls
-        back to one full snapshot.
+        back to one full snapshot.  A ``delta`` that is not a JSON
+        object raises ``TypeError`` (a bad request) before any lookup.
         """
+        if not isinstance(delta, dict):
+            raise TypeError("delta must be an object")
         res = self._residents.get(shard)
         if res is not None and str(delta.get("base", "")) == res.fp_hex:
             return res

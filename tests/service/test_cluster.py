@@ -213,6 +213,46 @@ class TestRouterIntegration:
                 got.assignment.mapping, want.assignment.mapping
             )
 
+    @pytest.mark.parametrize(
+        "delta", [7, "abc", ["x"]], ids=["int", "str", "list"]
+    )
+    def test_non_object_delta_is_bad_request(self, cluster, delta):
+        """A ``delta`` that is not a JSON object answers ``bad request``
+        at the router even when the shard has a resident tip: counted,
+        the tip unmoved, and the connection still served."""
+        import socket
+
+        from repro.service.protocol import read_frame_sync, write_frame_sync
+
+        def call(sock, message):
+            write_frame_sync(sock, message)
+            return read_frame_sync(sock)
+
+        router, _ = cluster
+        with socket.create_connection(
+            (router.host, router.port), timeout=10.0
+        ) as sock:
+            ok = call(sock, {
+                "op": "rebalance", "shard": "nd", "k": 2,
+                "instance": _instance(seed=4).to_dict(),
+            })
+            before = call(sock, {"op": "status"})["router"]
+            response = call(
+                sock, {"op": "rebalance", "shard": "nd", "k": 2, "delta": delta}
+            )
+            after = call(sock, {"op": "status"})["router"]
+            pong = call(sock, {"op": "ping"})
+        assert response["ok"] is False
+        assert response["error"] == "bad request"
+        bad = [
+            s["metrics"]["counters"].get("router.bad_requests", 0)
+            for s in (before, after)
+        ]
+        assert bad[1] == bad[0] + 1
+        assert before["residents"]["nd"] == ok["fingerprint"]
+        assert after["residents"]["nd"] == ok["fingerprint"]
+        assert pong["ok"] is True
+
     def test_status_aggregates_router_and_backends(self, cluster):
         router, _ = cluster
         with ServiceClient(router.host, router.port) as client:

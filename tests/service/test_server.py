@@ -33,6 +33,12 @@ def _instance(seed: int = 0, n: int = 30, m: int = 4):
     )
 
 
+def _call_raw(sock, message):
+    """One request/response on an open socket (v1 frames)."""
+    write_frame_sync(sock, message)
+    return read_frame_sync(sock)
+
+
 def _same_decision(result, scratch):
     assert np.array_equal(
         result.assignment.mapping, scratch.assignment.mapping
@@ -498,3 +504,37 @@ class TestBinaryAndDelta:
         assert response["ok"] is False
         assert response["error"] == "bad request"
         assert tip == ok["fingerprint"]
+
+    @pytest.mark.parametrize("op", ["rebalance", "replicate"])
+    @pytest.mark.parametrize(
+        "delta", [7, "abc", ["x"]], ids=["int", "str", "list"]
+    )
+    def test_non_object_delta_is_bad_request(self, server, op, delta):
+        """A ``delta`` that is not a JSON object answers ``bad request``
+        (not ``unknown base``) on a shard with a resident tip: counted,
+        the tip unmoved, and the connection still served."""
+        import socket
+
+        inst = _instance(seed=26)
+        with socket.create_connection(
+            (server.host, server.port), timeout=10.0
+        ) as sock:
+            ok = _call_raw(sock, {
+                "op": "rebalance", "shard": "nd", "k": 2,
+                "instance": inst.to_dict(),
+            })
+            before = _call_raw(sock, {"op": "status"})
+            response = _call_raw(
+                sock, {"op": op, "shard": "nd", "k": 2, "delta": delta}
+            )
+            after = _call_raw(sock, {"op": "status"})
+            pong = _call_raw(sock, {"op": "ping"})
+        assert response["ok"] is False
+        assert response["error"] == "bad request"
+        bad = [
+            s["metrics"]["counters"].get("service.bad_requests", 0)
+            for s in (before, after)
+        ]
+        assert bad[1] == bad[0] + 1
+        assert after["residents"]["nd"]["fingerprint"] == ok["fingerprint"]
+        assert pong["ok"] is True
