@@ -1,6 +1,7 @@
 """Ablation benches: the design-choice studies of DESIGN.md.
 
-Also benchmarks the incremental vs rescan scan kernels head-to-head.
+Also benchmarks the windowed vs per-step Fenwick scan kernels
+head-to-head.
 """
 
 import numpy as np
@@ -46,7 +47,7 @@ def _skewed(n: int = 4096, m: int = 8, seed: int = 20):
     return random_instance(n, m, rng, placement="skewed"), max(1, n // 20)
 
 
-def test_rescan_kernel(benchmark):
+def test_windowed_kernel(benchmark):
     inst, k = _skewed()
     result = benchmark(m_partition_rebalance, inst, k)
     assert result.num_moves <= k

@@ -156,30 +156,39 @@ class Assignment:
         atol: float = 1e-9,
     ) -> None:
         """Raise ``AssertionError`` unless the assignment meets the
-        given constraints.  Used by tests and by solver post-conditions.
+        given constraints.  Used by tests and by solver post-conditions;
+        the checks raise explicitly, so they hold under ``python -O``.
         """
-        assert self.mapping.shape == (self.instance.num_jobs,)
+        if self.mapping.shape != (self.instance.num_jobs,):
+            raise AssertionError(
+                f"mapping shape {self.mapping.shape} does not match "
+                f"{self.instance.num_jobs} jobs"
+            )
         recomputed = np.zeros(self.instance.num_processors)
         np.add.at(recomputed, self.mapping, self.instance.sizes)
-        assert np.allclose(recomputed, self._loads), "load bookkeeping corrupt"
+        if not np.allclose(recomputed, self._loads):
+            raise AssertionError("load bookkeeping corrupt")
         if self._moved is not None:
             actual = np.flatnonzero(self.mapping != self.instance.initial)
-            assert np.array_equal(self._moved, actual), (
-                "moved-job cache disagrees with the mapping"
-            )
-        assert abs(self._loads.sum() - self.instance.total_size) <= atol * max(
+            if not np.array_equal(self._moved, actual):
+                raise AssertionError("moved-job cache disagrees with the mapping")
+        # ``not (x <= bound)`` rather than ``x > bound``: a NaN fails.
+        if not abs(self._loads.sum() - self.instance.total_size) <= atol * max(
             1.0, self.instance.total_size
-        ), "load not conserved"
-        if max_moves is not None:
-            assert self.num_moves <= max_moves, (
-                f"{self.num_moves} moves exceeds budget {max_moves}"
-            )
-        if budget is not None:
-            assert self.relocation_cost <= budget + atol * max(1.0, budget), (
+        ):
+            raise AssertionError("load not conserved")
+        if max_moves is not None and self.num_moves > max_moves:
+            raise AssertionError(f"{self.num_moves} moves exceeds budget {max_moves}")
+        if budget is not None and not self.relocation_cost <= budget + atol * max(
+            1.0, budget
+        ):
+            raise AssertionError(
                 f"cost {self.relocation_cost} exceeds budget {budget}"
             )
-        if max_makespan is not None:
-            assert self.makespan <= max_makespan + atol * max(1.0, max_makespan), (
+        if max_makespan is not None and not self.makespan <= max_makespan + atol * max(
+            1.0, max_makespan
+        ):
+            raise AssertionError(
                 f"makespan {self.makespan} exceeds bound {max_makespan}"
             )
 

@@ -45,10 +45,12 @@ class Certificate:
     violations: tuple[str, ...]
 
     def require(self, max_ratio: float | None = None) -> None:
-        """Raise ``AssertionError`` on any violation (or ratio breach)."""
-        assert self.valid, f"certificate violations: {self.violations}"
-        if max_ratio is not None:
-            assert self.proven_ratio <= max_ratio + 1e-9, (
+        """Raise ``AssertionError`` on any violation (or ratio breach),
+        also under ``python -O``."""
+        if not self.valid:
+            raise AssertionError(f"certificate violations: {self.violations}")
+        if max_ratio is not None and not self.proven_ratio <= max_ratio + 1e-9:
+            raise AssertionError(
                 f"proven ratio {self.proven_ratio} exceeds {max_ratio}"
             )
 

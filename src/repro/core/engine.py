@@ -2,8 +2,7 @@
 
 The websim epoch loop used to rebuild every solver data structure from
 scratch each epoch: :func:`~repro.core.thresholds.build_tables` re-sorts
-all jobs and :func:`~repro.core.partition.evaluate_guess` walks the
-processors in a Python loop for every threshold tried.  Consecutive
+all jobs, and the threshold scan starts from nothing.  Consecutive
 epochs of one evolving cluster differ only in the sites whose traffic
 shifted, so almost all of that work is repeated verbatim.
 
@@ -12,16 +11,18 @@ instance and amortizes the solver state across them:
 
 * **Table cache** — the per-processor ascending orders and prefix sums
   (:class:`~repro.core.thresholds.ThresholdTables`) are kept between
-  calls and patched via :func:`~repro.core.thresholds.patch_tables`:
-  only the processors whose job composition changed are re-sorted,
-  ``O(changed · n_i log n_i)`` instead of the full ``O(n log n)`` sort
-  of every job.
-* **Vectorized guess evaluation** — ``(a_i, b_i, has_large_i)`` for
-  *all* processors at once from flattened prefix arrays (a handful of
-  numpy passes over ``n`` elements) instead of three ``searchsorted``
-  calls per processor per threshold.  The final Step-3 selection goes
-  through the same :func:`~repro.core.partition._finalize_evaluation`
-  as the scalar path, so evaluations are identical by construction.
+  calls and patched: from a churn hint naming the changed jobs
+  (:func:`~repro.core.thresholds.patch_tables_hint`, O(churn · bucket))
+  or, without one, from a value diff against the cached snapshot
+  (:func:`~repro.core.thresholds.patch_tables`).  Only the processors
+  whose job composition changed are re-sorted, ``O(changed · n_i log
+  n_i)`` instead of the full ``O(n log n)`` sort of every job.
+* **One threshold scan** — every decide, hinted or not, runs
+  M-PARTITION's windowed scan
+  (:func:`~repro.core.partition.scan_thresholds`) over the patched
+  tables, and finalizes the Step-3 selection from the scan's
+  per-processor columns at the stop guess, exactly as a from-scratch
+  :func:`~repro.core.partition.m_partition_rebalance` does.
 * **Decision cache** — a fingerprint (blake2b over sizes, costs,
   initial assignment and processor count) keyed LRU of full
   :class:`~repro.core.result.RebalanceResult` objects, so a
@@ -35,8 +36,8 @@ snapshot; the caches are pure transparent accelerations.
 
 Telemetry counters (visible through :mod:`repro.telemetry` and mirrored
 on :attr:`RebalanceEngine.stats`): ``cache_hits``, ``tables_reused``,
-``buckets_patched``, ``full_builds``, plus the shared
-``thresholds_tried``.
+``buckets_patched``, ``full_builds``, ``incremental_decides`` (decides
+served from a churn hint), plus the shared ``thresholds_tried``.
 """
 
 from __future__ import annotations
@@ -50,17 +51,9 @@ from .. import telemetry
 from . import rollhash
 from .assignment import Assignment
 from .instance import Instance
-from .partition import GuessEvaluation, _construct, _finalize_evaluation
-from .partition_incremental import scan_incremental
+from .partition import _construct, scan_thresholds
 from .result import RebalanceResult
-from .thresholds import (
-    ThresholdTables,
-    build_tables,
-    candidate_guesses,
-    patch_tables,
-    patch_tables_hint,
-    scan_start,
-)
+from .thresholds import ThresholdTables, build_tables, patch_tables, patch_tables_hint
 
 __all__ = ["ChurnHint", "EngineStats", "RebalanceEngine", "snapshot_fingerprint"]
 
@@ -121,7 +114,6 @@ class EngineStats:
     full_builds: int = 0
     thresholds_tried: int = 0
     incremental_decides: int = 0
-    churn_fallbacks: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -132,72 +124,7 @@ class EngineStats:
             "full_builds": self.full_builds,
             "thresholds_tried": self.thresholds_tried,
             "incremental_decides": self.incremental_decides,
-            "churn_fallbacks": self.churn_fallbacks,
         }
-
-
-class _FlatTables:
-    """Flattened per-processor views for vectorized guess evaluation.
-
-    Concatenates every processor's prefix sums (``prefix[1:]``, length
-    ``n_i`` each) into one array tagged with its processor id.  Within a
-    segment the prefix values are ascending, so "how many prefix entries
-    of processor ``i`` are at most ``x``" is a boolean mask plus one
-    ``bincount`` — for all processors at once.
-    """
-
-    __slots__ = ("m", "n", "sizes", "job_proc", "counts", "prefix_flat",
-                 "prefix_proc", "sizes_asc")
-
-    def __init__(self, tables: ThresholdTables) -> None:
-        instance = tables.instance
-        self.m = instance.num_processors
-        self.n = instance.num_jobs
-        self.sizes = instance.sizes
-        self.job_proc = instance.initial
-        self.counts = np.array(
-            [proc.num_jobs for proc in tables.processors], dtype=np.int64
-        )
-        if self.n:
-            self.prefix_flat = np.concatenate(
-                [proc.prefix[1:] for proc in tables.processors]
-            )
-        else:
-            self.prefix_flat = np.empty(0)
-        self.prefix_proc = np.repeat(np.arange(self.m, dtype=np.int64), self.counts)
-        self.sizes_asc = tables.sizes_asc
-
-    def evaluate(self, guess: float) -> GuessEvaluation:
-        """Vectorized equivalent of
-        :func:`repro.core.partition.evaluate_guess`.
-
-        Derivation (per processor ``i``, all comparisons on the same
-        floats the scalar path uses):
-
-        * ``s_cnt = #{jobs on i with size <= guess/2}``;
-        * ``a_i = s_cnt - keep`` where ``keep = #{1 <= l <= s_cnt :
-          P_l <= guess/2}`` (``P_0 = 0`` always qualifies, cancelling
-          the scalar path's ``searchsorted(...) - 1``);
-        * ``b_i = q - min(#{l >= 1 : P_l <= guess}, q)`` with
-          ``q = n_i`` if the processor is all-small else ``s_cnt + 1``.
-        """
-        half = guess / 2.0
-        m = self.m
-        total_large = self.n - int(
-            np.searchsorted(self.sizes_asc, half, side="right")
-        )
-        s_cnt = np.bincount(self.job_proc[self.sizes <= half], minlength=m)
-        cnt_prefix_half = np.bincount(
-            self.prefix_proc[self.prefix_flat <= half], minlength=m
-        )
-        cnt_prefix_full = np.bincount(
-            self.prefix_proc[self.prefix_flat <= guess], minlength=m
-        )
-        a = s_cnt - np.minimum(cnt_prefix_half, s_cnt)
-        q = np.where(s_cnt == self.counts, self.counts, s_cnt + 1)
-        b = q - np.minimum(cnt_prefix_full, q)
-        has_large = s_cnt < self.counts
-        return _finalize_evaluation(guess, total_large, a, b, has_large)
 
 
 def snapshot_fingerprint(instance: Instance) -> bytes:
@@ -242,30 +169,22 @@ class RebalanceEngine:
     answer.
     """
 
-    #: Above this fraction of changed jobs, the incremental scan stops
-    #: paying for itself and the engine falls back to the vectorized
-    #: full path (the tables are still hint-patched either way).
-    churn_limit: float = 0.25
-
-    def __init__(
-        self, k: int, cache_size: int = 64, churn_limit: float | None = None
-    ) -> None:
+    def __init__(self, k: int, cache_size: int = 64) -> None:
         if k < 0:
             raise ValueError("k must be non-negative")
         if cache_size < 0:
             raise ValueError("cache_size must be non-negative")
         self.k = k
         self.cache_size = cache_size
-        if churn_limit is not None:
-            self.churn_limit = churn_limit
         self.stats = EngineStats()
         self._tables: ThresholdTables | None = None
         self._cache: OrderedDict[bytes, RebalanceResult] = OrderedDict()
         # O(churn) path state: a pending (not yet applied) churn hint,
-        # and whether _tables.sizes_asc has gone stale under hint
-        # patching (it is only refreshed on full-scan decides).
+        # and whether _tables were last hint-patched — their snapshot
+        # may then alias arrays mutated in place, so an unhinted decide
+        # must rebuild instead of diffing against it.
         self._pending: tuple | None = None
-        self._sizes_stale = False
+        self._hint_patched = False
 
     def reset(self) -> None:
         """Drop all cached state (tables, decisions, counters)."""
@@ -273,7 +192,7 @@ class RebalanceEngine:
         self._tables = None
         self._cache.clear()
         self._pending = None
-        self._sizes_stale = False
+        self._hint_patched = False
 
     def note_churn(
         self,
@@ -372,12 +291,11 @@ class RebalanceEngine:
         diffs arrays — which is what makes it correct for the O(churn)
         server path, where ``instance`` is a read-only view of resident
         arrays mutated in place, aliasing the tables' own snapshot.
-        When the hinted churn is at most ``churn_limit * n`` the decide
-        runs the windowed incremental scan
-        (:func:`~repro.core.partition_incremental.scan_incremental`) —
-        O(churn · bucket + scanned · log) instead of O(n log n) — and is
-        byte-identical to the full path by construction (differential
-        tests enforce it).
+        Hinted or not, the decide runs the one windowed threshold scan
+        (:func:`~repro.core.partition.scan_thresholds`), so a hinted
+        decide costs O(churn · bucket + scanned · m) and is
+        byte-identical to a from-scratch decide (differential tests
+        enforce it).
         """
         tmark = telemetry.mark()
         fp = fingerprint if fingerprint is not None else _fingerprint(instance)
@@ -405,30 +323,26 @@ class RebalanceEngine:
             and self._tables.instance.num_processors == instance.num_processors
             and n > 0
         )
-        incremental = False
         if hint_usable:
             with telemetry.span("engine.patch_tables"):
                 tables, changed_procs = patch_tables_hint(
                     self._tables, instance, hint[0], hint[3]
                 )
             self._tables = tables
-            self._sizes_stale = True
+            self._hint_patched = True
             self.stats.tables_reused += 1
             self.stats.buckets_patched += int(changed_procs.shape[0])
+            self.stats.incremental_decides += 1
             telemetry.count("tables_reused")
             telemetry.count("buckets_patched", int(changed_procs.shape[0]))
-            incremental = hint[0].shape[0] <= self.churn_limit * n
-            if not incremental:
-                self.stats.churn_fallbacks += 1
-                telemetry.count("churn_fallbacks")
         else:
-            if self._sizes_stale or (hint is not None and self._tables is not None):
+            if self._hint_patched or (hint is not None and self._tables is not None):
                 # The warm tables were hint-patched against arrays that
                 # mutate in place (or the hint does not match their
                 # shape), so a value diff against them is meaningless —
                 # rebuild from the snapshot.
                 self._tables = None
-                self._sizes_stale = False
+                self._hint_patched = False
             tables = self._update_tables(instance)
 
         if n == 0:
@@ -441,102 +355,34 @@ class RebalanceEngine:
             self._remember(fp, result)
             return result
 
-        if incremental:
-            with telemetry.span("engine.scan_incremental"):
-                scan = scan_incremental(tables, self.k, instance.average_load)
-            if scan is not None:
-                stop_guess, k_hat, tried, refreshes, state = scan
-                self.stats.thresholds_tried += tried
-                self.stats.incremental_decides += 1
-                telemetry.count("thresholds_tried", tried)
-                telemetry.count("incremental_refreshes", refreshes)
-                # The scan state holds every processor's exact values at
-                # the stop guess (values change only at a processor's
-                # own thresholds, all of which are in its stream), so
-                # the Step-3 selection finalizes straight from it.
-                ev = _finalize_evaluation(
-                    stop_guess,
-                    state.total_large_jobs,
-                    state.a,
-                    state.b,
-                    state.has_large,
-                )
-                assert ev.planned_moves == k_hat, (
-                    f"incremental k-hat {k_hat} disagrees with rescan "
-                    f"{ev.planned_moves} at guess {stop_guess}"
-                )
-                with telemetry.span("engine.construct"):
-                    assignment = _construct(instance, tables, ev)
-                # O(moves) post-condition on the steady path: the O(n)
-                # load-recompute guard of ``validate`` runs on every
-                # full decide (and fallback), and the incremental
-                # construction is additionally pinned by the k-hat
-                # rescan assert above plus the differential tests.
-                assert assignment.num_moves <= self.k, (
-                    f"{assignment.num_moves} moves exceeds budget {self.k}"
-                )
-                result = RebalanceResult(
-                    assignment=assignment,
-                    algorithm="m-partition-engine",
-                    guessed_opt=ev.guess,
-                    planned_moves=ev.planned_moves,
-                    meta=telemetry.attach(
-                        {
-                            "L_T": ev.total_large,
-                            "m_L": ev.large_processors,
-                            "L_E": ev.extra_large,
-                            "thresholds_tried": tried,
-                            "engine": self.stats.as_dict(),
-                        },
-                        tmark,
-                    ),
-                )
-                self._remember(fp, result)
-                return result
-            # Candidate streams exhausted without a feasible stop —
-            # fall through to the full scan, which reproduces the full
-            # path's result or error semantics exactly.
-
-        if self._sizes_stale:
-            # Hint patching leaves the global ascending sizes stale; the
-            # vectorized scan needs them fresh.
-            tables = ThresholdTables(
-                instance=instance,
-                processors=tables.processors,
-                sizes_asc=np.sort(instance.sizes),
-            )
-            self._tables = tables
-            self._sizes_stale = False
-
-        candidates = candidate_guesses(tables)
-        flat = _FlatTables(tables)
-        start = scan_start(candidates, instance.average_load)
-        tried = 0
-        stop_ev: GuessEvaluation | None = None
-        with telemetry.span("engine.scan"):
-            for idx in range(start, candidates.shape[0]):
-                ev = flat.evaluate(float(candidates[idx]))
-                tried += 1
-                if ev.feasible and ev.planned_moves <= self.k:
-                    stop_ev = ev
-                    break
+        with telemetry.span(
+            "engine.scan_incremental" if hint_usable else "engine.scan"
+        ):
+            ev, tried = scan_thresholds(tables, self.k, instance.average_load)
         self.stats.thresholds_tried += tried
         telemetry.count("thresholds_tried", tried)
-        if stop_ev is None:  # pragma: no cover - same safeguard as rescan
-            raise RuntimeError("no feasible threshold found")
         with telemetry.span("engine.construct"):
-            assignment = _construct(instance, tables, stop_ev)
-        assignment.validate(max_moves=self.k)
+            assignment = _construct(instance, tables, ev)
+        if hint_usable:
+            # O(moves) post-condition on the steady path, where an O(n)
+            # load recompute would dominate the decide; the construction
+            # is pinned by the differential tests.
+            if assignment.num_moves > self.k:
+                raise AssertionError(
+                    f"{assignment.num_moves} moves exceeds budget {self.k}"
+                )
+        else:
+            assignment.validate(max_moves=self.k)
         result = RebalanceResult(
             assignment=assignment,
             algorithm="m-partition-engine",
-            guessed_opt=stop_ev.guess,
-            planned_moves=stop_ev.planned_moves,
+            guessed_opt=ev.guess,
+            planned_moves=ev.planned_moves,
             meta=telemetry.attach(
                 {
-                    "L_T": stop_ev.total_large,
-                    "m_L": stop_ev.large_processors,
-                    "L_E": stop_ev.extra_large,
+                    "L_T": ev.total_large,
+                    "m_L": ev.large_processors,
+                    "L_E": ev.extra_large,
                     "thresholds_tried": tried,
                     "engine": self.stats.as_dict(),
                 },

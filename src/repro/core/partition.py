@@ -10,7 +10,12 @@ threshold values enumerated by :mod:`repro.core.thresholds`, so it scans
 those guesses in increasing order and stops at the first guess whose
 planned move count is within the budget ``k``.  Lemma 6 shows the
 stopping guess never exceeds the true ``OPT``, which preserves the
-``1.5``-approximation.
+``1.5``-approximation.  The scan (:func:`scan_thresholds`) slices the
+per-processor threshold streams in guess-space windows and evaluates
+whole chunks of guesses with numpy, never materializing the global
+threshold union; every M-PARTITION decide — a cold
+:func:`m_partition_rebalance` and every
+:class:`~repro.core.engine.RebalanceEngine` decide — runs it.
 
 Terminology (Definition 1 of Section 3, with guess ``A``):
 
@@ -48,13 +53,14 @@ from .. import telemetry
 from .assignment import Assignment
 from .instance import Instance
 from .result import RebalanceResult
-from .thresholds import ThresholdTables, build_tables, candidate_guesses, scan_start
+from .thresholds import ThresholdTables, build_tables
 
 __all__ = [
     "GuessEvaluation",
     "evaluate_guess",
     "partition_rebalance",
     "m_partition_rebalance",
+    "scan_thresholds",
 ]
 
 
@@ -84,10 +90,9 @@ def _finalize_evaluation(
     """Turn per-processor ``(a, b, has_large)`` values into the Step-3
     selection and planned move count.
 
-    Shared by the scalar per-processor path (:func:`evaluate_guess`) and
-    the engine's vectorized path (:mod:`repro.core.engine`), so both
-    apply the identical tie-breaking rule and produce byte-identical
-    evaluations.
+    Shared by the per-processor path (:func:`evaluate_guess`) and the
+    windowed scan (:func:`scan_thresholds`), so both apply the identical
+    tie-breaking rule and produce byte-identical evaluations.
     """
     m = int(a.shape[0])
     c = a - b
@@ -129,32 +134,287 @@ def _finalize_evaluation(
     )
 
 
-def evaluate_guess(
-    tables: ThresholdTables, guess: float, *, total_large: int | None = None
-) -> GuessEvaluation:
+def evaluate_guess(tables: ThresholdTables, guess: float) -> GuessEvaluation:
     """Compute ``(L_T, a, b, c)``, the Step-3 selection and the planned
     move count for one guess, without constructing the assignment.
 
     A guess is infeasible when ``L_T > m`` (more large jobs than
     processors; no half-optimal configuration exists at this guess).
-
-    ``total_large`` lets a caller that already knows ``L_T`` at this
-    guess (e.g. a scan maintaining it incrementally) skip the
-    ``tables.sizes_asc`` lookup — necessary whenever the global
-    ascending size array is stale, as it is between the engine's
-    full-scan decides on the O(churn) path.
+    ``L_T`` is the sum of the per-processor large-job counts.
     """
     m = len(tables.processors)
-    if total_large is None:
-        total_large = tables.total_large(guess)
     a = np.empty(m, dtype=np.int64)
     b = np.empty(m, dtype=np.int64)
-    has_large = np.empty(m, dtype=bool)
+    large = np.empty(m, dtype=np.int64)
     for i, proc in enumerate(tables.processors):
-        a[i] = proc.a_value(guess)
-        b[i] = proc.b_value(guess)
-        has_large[i] = proc.has_large(guess)
-    return _finalize_evaluation(guess, total_large, a, b, has_large)
+        a[i], b[i], large[i] = proc.evaluate(guess)
+    return _finalize_evaluation(guess, int(large.sum()), a, b, large > 0)
+
+
+_CHUNK_START = 256     # candidates evaluated in the first chunk
+_CHUNK_GROWTH = 4      # geometric chunk growth on a miss
+
+
+def _window_candidates(procs, indices, lo: float, hi: float) -> np.ndarray:
+    """Distinct candidate values in ``(lo, hi]`` across the named
+    processors' three Lemma-5 streams, ascending.
+
+    Doubling and halving are exact in binary floats, so the doubled
+    streams slice against the undoubled arrays at the halved bounds —
+    the values returned are bit-identical to the ones a merged
+    enumeration would yield.  Two ``searchsorted`` dispatches per
+    processor plus one ``unique`` over the window.
+    """
+    parts = []
+    bounds = (lo, hi, lo / 2.0, hi / 2.0)
+    half_bounds = bounds[2:]
+    for i in indices:
+        proc = procs[i]
+        pre = proc.prefix
+        sa = proc.sizes_asc
+        l1, h1, l2, h2 = np.searchsorted(pre, bounds, side="right")
+        if h1 > l1:
+            parts.append(pre[l1:h1])
+        if h2 > l2:
+            parts.append(2.0 * pre[l2:h2])
+        l3, h3 = np.searchsorted(sa, half_bounds, side="right")
+        if h3 > l3:
+            parts.append(2.0 * sa[l3:h3])
+    if not parts:
+        return np.empty(0)
+    return np.unique(np.concatenate(parts))
+
+
+def _prefix_candidates(procs, indices, lo: float, hi: float) -> np.ndarray:
+    """Distinct prefix-stream candidates in ``(lo, hi]``, ascending.
+
+    In the all-small regime (``guess >= 2 * max_size``) these are the
+    only thresholds where ``k_hat`` can change, so the walk slices just
+    this stream — one ``searchsorted`` dispatch per processor.
+    """
+    parts = []
+    bounds = (lo, hi)
+    for i in indices:
+        pre = procs[i].prefix
+        l1, h1 = np.searchsorted(pre, bounds, side="right")
+        if h1 > l1:
+            parts.append(pre[l1:h1])
+    if not parts:
+        return np.empty(0)
+    return np.unique(np.concatenate(parts))
+
+
+def _window_planned_moves_small(
+    tables: ThresholdTables, guesses: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(k_hat, a, b)`` for a chunk of guesses in the all-small regime.
+
+    With every job small at every guess (``guesses[0] >= 2 *
+    max_size``): ``L_T = 0``, so the Step-3 selection total vanishes,
+    ``s_cnt = q = n_i``, and ``k_hat`` reduces to ``sum_i b_i`` — one
+    ``searchsorted`` dispatch per processor (at the halved and the full
+    guesses) and a few matrix ops, no sort.  Every guess is feasible
+    (``L_T = 0 <= m``).  ``a`` and ``b`` are the ``(m, G)``
+    per-processor value matrices.
+    """
+    procs = tables.processors
+    m = len(procs)
+    count = guesses.shape[0]
+    half_and_full = np.concatenate((guesses / 2.0, guesses))
+    # keeps rows default to 1 (-> 0 after the global -1): the correct
+    # "keep nothing past P_0" value for empty processors.
+    keeps = np.ones((m, 2 * count), dtype=np.int64)
+    njobs = np.zeros((m, 1), dtype=np.int64)
+    for i, proc in enumerate(procs):
+        if not proc.num_jobs:
+            continue
+        njobs[i, 0] = proc.num_jobs
+        keeps[i] = np.searchsorted(proc.prefix, half_and_full, side="right")
+    keeps -= 1
+    removed = njobs - np.minimum(keeps, njobs)
+    a, b = removed[:, :count], removed[:, count:]
+    return b.sum(axis=0), a, b
+
+
+def _window_planned_moves(
+    tables: ThresholdTables, guesses: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """``(feasible, k_hat)`` arrays for a whole chunk of guesses.
+
+    The per-guess math is :meth:`ProcessorTable.evaluate` verbatim —
+    the prefix-slice caps become ``np.minimum`` against the full-array
+    ``searchsorted``, which is equivalent because the prefixes are
+    ascending — and the Step-3 selection total (sum of the ``L_T``
+    smallest ``c_i``) comes from one axis-sort + cumsum over the
+    ``(guesses, m)`` cost matrix.  Cost: two vectorized
+    ``searchsorted`` dispatches per processor (everything else is
+    whole-matrix arithmetic) plus an ``O(G m log m)`` sort — no Python
+    work proportional to ``G``.
+
+    Returns ``(feasible, k_hat, a, b, large)``; the last three are the
+    ``(m, G)`` per-processor value matrices, whose column at the stop
+    guess finalizes the Step-3 selection.
+    """
+    procs = tables.processors
+    m = len(procs)
+    count = guesses.shape[0]
+    half = guesses / 2.0
+    half_and_full = np.concatenate((half, guesses))
+    # keeps rows default to 1 (-> 0 after the global -1): the correct
+    # "keep nothing past P_0" value for empty processors.
+    keeps = np.ones((m, 2 * count), dtype=np.int64)
+    s_cnt = np.zeros((m, count), dtype=np.int64)
+    njobs = np.zeros((m, 1), dtype=np.int64)
+    for i, proc in enumerate(procs):
+        if not proc.num_jobs:
+            continue
+        njobs[i, 0] = proc.num_jobs
+        keeps[i] = np.searchsorted(proc.prefix, half_and_full, side="right")
+        s_cnt[i] = np.searchsorted(proc.sizes_asc, half, side="right")
+    keeps -= 1
+    a = s_cnt - np.minimum(keeps[:, :count], s_cnt)
+    q = np.where(s_cnt == njobs, njobs, s_cnt + 1)
+    b = q - np.minimum(keeps[:, count:], q)
+    large = njobs - s_cnt
+    total_large = large.sum(axis=0)
+    large_procs = (large > 0).sum(axis=0)
+    feasible = total_large <= m
+    c_sorted = np.sort(np.ascontiguousarray((a - b).T), axis=1)
+    csum = np.cumsum(c_sorted, axis=1)
+    lt = np.minimum(total_large, m)
+    smallest = np.where(
+        lt > 0, csum[np.arange(count), np.maximum(lt, 1) - 1], 0
+    )
+    k_hat = (total_large - large_procs) + b.sum(axis=0) + smallest
+    return feasible, k_hat, a, b, large
+
+
+def _start_guess(procs, indices, average_load: float) -> float:
+    """The largest threshold not exceeding ``average_load``, or the
+    smallest threshold when all exceed it —
+    :func:`~repro.core.thresholds.scan_start`'s clamp on the global
+    union, from three ``searchsorted`` calls per processor.
+
+    ``2 x <= g`` iff ``x <= g / 2`` (doubling is exact), so the doubled
+    streams position at ``average_load / 2`` against the undoubled
+    arrays.
+    """
+    half = average_load / 2.0
+    best = -np.inf
+    smallest = np.inf
+    for i in indices:
+        pre = procs[i].prefix
+        sa = procs[i].sizes_asc
+        # P_0 == 0 is not a candidate: an index of 0 (or -1, for loads
+        # below zero) means no value of that stream qualifies.
+        i1 = int(np.searchsorted(pre, average_load, side="right")) - 1
+        i2 = int(np.searchsorted(pre, half, side="right")) - 1
+        i3 = int(np.searchsorted(sa, half, side="right"))
+        if i1 > 0:
+            best = max(best, float(pre[i1]))
+        if i2 > 0:
+            best = max(best, 2.0 * float(pre[i2]))
+        if i3 > 0:
+            best = max(best, 2.0 * float(sa[i3 - 1]))
+        smallest = min(smallest, float(pre[1]), 2.0 * float(sa[0]))
+    return best if best > -np.inf else smallest
+
+
+def _chunks(window_fn, procs, indices, start: float, width: float):
+    """Ascending candidate chunks: the start guess alone, then
+    successive windows ``(lo, lo + width]`` sliced by ``window_fn``,
+    each cut into geometrically growing chunks, with the width
+    quadrupling per window up to the largest threshold."""
+    yield np.asarray([start])
+    # 2 * (full prefix sum) bounds every stream of a processor.
+    hi_cap = max(2.0 * float(procs[i].prefix[-1]) for i in indices)
+    lo = start
+    while lo < hi_cap:
+        hi = max(min(lo + width, hi_cap), np.nextafter(lo, np.inf))
+        window = window_fn(procs, indices, lo, hi)
+        chunk = _CHUNK_START
+        offset = 0
+        while offset < window.shape[0]:
+            yield window[offset:offset + chunk]
+            offset += chunk
+            chunk *= _CHUNK_GROWTH
+        lo = hi
+        width *= 4.0
+
+
+def scan_thresholds(
+    tables: ThresholdTables, k: int, average_load: float
+) -> tuple[GuessEvaluation, int]:
+    """Theorem 3's scan: the evaluation at the first feasible threshold
+    planning at most ``k`` moves, and the number of thresholds tried.
+
+    Visits exactly the distinct threshold values ``>=`` the
+    :func:`~repro.core.thresholds.scan_start` guess, in ascending order,
+    and stops where a scan over the materialized union
+    (:func:`~repro.core.thresholds.candidate_guesses`) stops — without
+    ever building that union (an ``np.unique`` over ``3n`` values).
+    Candidates are pulled in guess-space *windows* (sized from
+    ``k * mean_size / m``, the load span a ``k``-move budget can
+    flatten; a miss re-slices 4x wider) and evaluated in geometrically
+    growing chunks by :func:`_window_planned_moves`, so the
+    per-candidate cost is a numpy inner loop.  A processor's values
+    change only at its own thresholds, so the evaluated column at the
+    stop guess is exactly every processor's ``(a_i, b_i, has_large_i)``
+    there, and the Step-3 selection finalizes from it.
+
+    ``tried`` counts the distinct thresholds evaluated from the start
+    guess through the stop guess.  ``tables`` must hold at least one
+    job.
+    """
+    procs = tables.processors
+    nonempty = [i for i, proc in enumerate(procs) if proc.num_jobs]
+    start = _start_guess(procs, nonempty, average_load)
+    max_size = max(float(procs[i].sizes_asc[-1]) for i in nonempty)
+    mean_size = average_load * len(procs) / tables.instance.num_jobs
+    width = max(4.0 * k * mean_size / len(procs), 16.0 * mean_size)
+    # All-small regime: every job is small at the start guess and stays
+    # small at every larger guess, so k_hat == sum_i b_i changes only at
+    # prefix-stream thresholds — values from the doubled streams can
+    # never be the first feasible one.  Walk just the prefix stream.
+    small = start >= 2.0 * max_size
+    window_fn = _prefix_candidates if small else _window_candidates
+    tried = 0
+    for cands in _chunks(window_fn, procs, nonempty, start, width):
+        if small:
+            k_hats, a, b = _window_planned_moves_small(tables, cands)
+            large = np.zeros_like(a)
+            hits = np.flatnonzero(k_hats <= k)
+        else:
+            feasible, k_hats, a, b, large = _window_planned_moves(tables, cands)
+            hits = np.flatnonzero(feasible & (k_hats <= k))
+        if not hits.shape[0]:
+            tried += int(cands.shape[0])
+            continue
+        j = int(hits[0])
+        guess = float(cands[j])
+        k_hat = int(k_hats[j])
+        if small:
+            # The walk skipped the doubled streams' values; count them
+            # back in with one slice.
+            tried = 1
+            if guess > start:
+                tried += int(
+                    _window_candidates(procs, nonempty, start, guess).shape[0]
+                )
+        else:
+            tried += j + 1
+        ev = _finalize_evaluation(
+            guess, int(large[:, j].sum()), a[:, j], b[:, j], large[:, j] > 0
+        )
+        assert ev.planned_moves == k_hat, (
+            f"windowed k-hat {k_hat} disagrees with the Step-3 selection "
+            f"{ev.planned_moves} at guess {guess}"
+        )
+        return ev, tried
+    # Unreachable for well-formed instances: the full load of the
+    # heaviest processor is a threshold, and no moves are planned there.
+    # Kept as a safeguard.
+    raise RuntimeError("no feasible threshold found")  # pragma: no cover
 
 
 def _construct(
@@ -333,7 +593,7 @@ def m_partition_rebalance(
     from the largest threshold not exceeding the average load (the
     paper's starting guess — the average load never exceeds ``OPT``),
     and returns the construction at the first feasible guess whose
-    planned move count is at most ``k``.
+    planned move count is at most ``k`` (:func:`scan_thresholds`).
 
     Lemma 6 guarantees the scan stops no later than the largest
     threshold below the true ``OPT`` (which plans no more moves than the
@@ -358,40 +618,24 @@ def m_partition_rebalance(
             guessed_opt=0.0,
             planned_moves=0,
         )
-    candidates = candidate_guesses(tables)
-    start = scan_start(candidates, instance.average_load)
-    tried = 0
-    stop_ev: GuessEvaluation | None = None
     with telemetry.span("m_partition.scan"):
-        for idx in range(start, candidates.shape[0]):
-            guess = float(candidates[idx])
-            ev = evaluate_guess(tables, guess)
-            tried += 1
-            if ev.feasible and ev.planned_moves <= k:
-                stop_ev = ev
-                break
+        ev, tried = scan_thresholds(tables, k, instance.average_load)
     telemetry.count("thresholds_tried", tried)
-    if stop_ev is not None:
-        ev = stop_ev
-        with telemetry.span("m_partition.construct"):
-            assignment = _construct(instance, tables, ev)
-        assignment.validate(max_moves=k)
-        return RebalanceResult(
-            assignment=assignment,
-            algorithm="m-partition",
-            guessed_opt=ev.guess,
-            planned_moves=ev.planned_moves,
-            meta=telemetry.attach(
-                {
-                    "L_T": ev.total_large,
-                    "m_L": ev.large_processors,
-                    "L_E": ev.extra_large,
-                    "thresholds_tried": tried,
-                },
-                tmark,
-            ),
-        )
-    # Unreachable for well-formed instances: the largest threshold is
-    # the full load of the heaviest processor, where no moves are
-    # planned.  Kept as a safeguard.
-    raise RuntimeError("no feasible threshold found")  # pragma: no cover
+    with telemetry.span("m_partition.construct"):
+        assignment = _construct(instance, tables, ev)
+    assignment.validate(max_moves=k)
+    return RebalanceResult(
+        assignment=assignment,
+        algorithm="m-partition",
+        guessed_opt=ev.guess,
+        planned_moves=ev.planned_moves,
+        meta=telemetry.attach(
+            {
+                "L_T": ev.total_large,
+                "m_L": ev.large_processors,
+                "L_E": ev.extra_large,
+                "thresholds_tried": tried,
+            },
+            tmark,
+        ),
+    )

@@ -1,11 +1,8 @@
-"""M-PARTITION with the paper's incremental threshold scan (Theorem 3).
+"""M-PARTITION with the paper's per-step incremental scan (Theorem 3).
 
-:func:`repro.core.partition.m_partition_rebalance` re-derives
-``(L_T, a_i, b_i, c_i)`` from scratch at every threshold — simple and
-robust, but ``O(m log n)`` per threshold.  Theorem 3's running-time
-claim rests on a sharper observation: *between consecutive thresholds,
-at most a constant number of the per-processor values change*, so the
-scan can maintain
+Theorem 3's running-time claim rests on one observation: *between
+consecutive thresholds, at most a constant number of the per-processor
+values change*, so the scan can maintain
 
 * the affected processors' ``a_i`` / ``b_i`` / ``c_i``,
 * the running total ``sum_i b_i``,
@@ -21,9 +18,13 @@ construction — can be deferred to the single construction call at the
 stopping threshold.)
 
 The module exposes :func:`m_partition_rebalance_incremental`, which
-produces the *identical* result to the rescan version (same stopping
-threshold, hence the same construction); the equivalence is enforced by
-differential property tests.
+walks the materialized threshold union one value at a time with those
+aggregates.  :func:`repro.core.partition.m_partition_rebalance` reaches
+the same stop with the windowed scan
+(:func:`~repro.core.partition.scan_thresholds`), which evaluates whole
+chunks of thresholds with numpy instead; the two produce the
+*identical* result (same stopping threshold, hence the same
+construction), enforced by differential property tests.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .partition import _construct, evaluate_guess
 from .result import RebalanceResult
 from .thresholds import ThresholdTables, build_tables, candidate_guesses, scan_start
 
-__all__ = ["m_partition_rebalance_incremental", "scan_incremental"]
+__all__ = ["m_partition_rebalance_incremental"]
 
 
 class _IncrementalState:
@@ -49,10 +50,7 @@ class _IncrementalState:
     ``L_T`` (the total large-job count) is maintained incrementally too:
     it changes only when the guess crosses ``2 * size`` of some job —
     which is a threshold of that job's processor — so per-processor
-    large counts patched at each refresh keep the global total exact
-    without ever consulting ``tables.sizes_asc``.  That makes the state
-    safe for the engine's O(churn) path, where the global ascending
-    size array is deliberately stale.
+    large counts patched at each refresh keep the global total exact.
     """
 
     def __init__(self, tables: ThresholdTables, start_guess: float) -> None:
@@ -65,8 +63,7 @@ class _IncrementalState:
         self.large_counts = np.empty(m, dtype=np.int64)
         self.sum_b = 0
         # c_i = a_i - b_i with a_i, b_i in [0, n_i], so a domain sized by
-        # the largest bucket suffices — [-n-1, n+1] would cost O(n) list
-        # allocations per scan, which the O(churn) path cannot afford.
+        # the largest bucket suffices, not [-n-1, n+1].
         max_bucket = max((p.num_jobs for p in tables.processors), default=0)
         self.fenwick = ValueMultisetFenwick(-max_bucket - 1, max_bucket + 1)
         self.num_large_procs = 0
@@ -82,33 +79,6 @@ class _IncrementalState:
             self.fenwick.add(a_i - b_i)
             self.num_large_procs += large_i > 0
             self.total_large_jobs += large_i
-
-    @classmethod
-    def from_arrays(
-        cls,
-        tables: ThresholdTables,
-        a: np.ndarray,
-        b: np.ndarray,
-        large_counts: np.ndarray,
-    ) -> _IncrementalState:
-        """State at a guess whose per-processor values are already
-        known (one column of a :func:`_window_planned_moves` chunk) —
-        skips the O(m) scalar re-evaluation of ``__init__``."""
-        self = cls.__new__(cls)
-        self.tables = tables
-        self.a = a
-        self.b = b
-        self.c = a - b
-        self.large_counts = large_counts
-        self.has_large = large_counts > 0
-        self.sum_b = int(b.sum())
-        max_bucket = max((p.num_jobs for p in tables.processors), default=0)
-        self.fenwick = ValueMultisetFenwick(-max_bucket - 1, max_bucket + 1)
-        for value in self.c:
-            self.fenwick.add(int(value))
-        self.num_large_procs = int(self.has_large.sum())
-        self.total_large_jobs = int(large_counts.sum())
-        return self
 
     def refresh(self, proc_index: int, guess: float) -> None:
         """Recompute one processor's values at ``guess`` and patch the
@@ -142,387 +112,6 @@ class _IncrementalState:
         return True, int(k_hat)
 
 
-class _LazyStreams:
-    """Per-processor Lemma-5 candidate values, iterated without being
-    materialized.
-
-    A processor's candidates are the 3-way merge of ``prefix[1:]``,
-    ``2 * prefix[1:]`` and ``2 * sizes_asc`` — all already ascending in
-    the :class:`~repro.core.thresholds.ProcessorTable`.  A steady-state
-    scan tries a handful of values, so merging the streams into one
-    array per changed bucket every epoch (O(bucket) per bucket,
-    :func:`~repro.core.thresholds.proc_candidates`) would dominate the
-    decide; three cursors per processor cost O(log bucket) to seed and
-    O(1) per consumed value instead.  Doubling a float is exact, so
-    ``2 * x <= g  <=>  x <= g / 2`` and the doubled streams position
-    with one ``searchsorted`` at ``g / 2`` against the undoubled array.
-    """
-
-    __slots__ = ("procs", "pos")
-
-    def __init__(self, tables: ThresholdTables) -> None:
-        self.procs = tables.processors
-        self.pos = [[0, 0, 0] for _ in self.procs]
-
-    def seed(self, proc_index: int, average_load: float) -> tuple[float, float]:
-        """Position the cursors just past ``average_load`` and return
-        ``(largest candidate <= average_load or -inf, smallest
-        candidate)`` for this processor (must not be empty)."""
-        proc = self.procs[proc_index]
-        pre = proc.prefix
-        sa = proc.sizes_asc
-        half = average_load / 2.0
-        n_i = proc.num_jobs
-        # P_0 == 0 is not a candidate; the -1 discounts it (clamped for
-        # loads below zero, where searchsorted lands before P_0).
-        i1 = max(int(np.searchsorted(pre, average_load, side="right")) - 1, 0)
-        i2 = max(int(np.searchsorted(pre, half, side="right")) - 1, 0)
-        i3 = int(np.searchsorted(sa, half, side="right"))
-        self.pos[proc_index] = [i1, i2, i3]
-        best = -np.inf
-        if i1 > 0:
-            best = float(pre[i1])
-        if i2 > 0:
-            best = max(best, 2.0 * float(pre[i2]))
-        if i3 > 0:
-            best = max(best, 2.0 * float(sa[i3 - 1]))
-        smallest = min(float(pre[1]), 2.0 * float(sa[0])) if n_i else np.inf
-        return best, smallest
-
-    def head(self, proc_index: int, above: float) -> float:
-        """Smallest candidate ``> above`` at/after the cursors (advances
-        them past any values ``<= above``); ``inf`` when exhausted."""
-        proc = self.procs[proc_index]
-        pre = proc.prefix
-        sa = proc.sizes_asc
-        n_i = proc.num_jobs
-        p1, p2, p3 = self.pos[proc_index]
-        while p1 < n_i and pre[p1 + 1] <= above:
-            p1 += 1
-        while p2 < n_i and 2.0 * pre[p2 + 1] <= above:
-            p2 += 1
-        while p3 < n_i and 2.0 * sa[p3] <= above:
-            p3 += 1
-        self.pos[proc_index] = [p1, p2, p3]
-        head = np.inf
-        if p1 < n_i:
-            head = float(pre[p1 + 1])
-        if p2 < n_i:
-            head = min(head, 2.0 * float(pre[p2 + 1]))
-        if p3 < n_i:
-            head = min(head, 2.0 * float(sa[p3]))
-        return head
-
-
-_CHUNK_START = 256     # candidates evaluated in the first chunk
-_CHUNK_GROWTH = 4      # geometric chunk growth on a miss
-
-
-def _window_candidates(
-    procs, indices, lo: float, hi: float
-) -> np.ndarray:
-    """Distinct candidate values in ``(lo, hi]`` across the named
-    processors' three Lemma-5 streams, ascending.
-
-    Doubling and halving are exact in binary floats, so the doubled
-    streams slice against the undoubled arrays at the halved bounds —
-    the values returned are bit-identical to the ones a merged
-    enumeration would yield.  Two ``searchsorted`` dispatches per
-    processor plus one global ``unique``.
-    """
-    parts = []
-    bounds = (lo, hi, lo / 2.0, hi / 2.0)
-    half_bounds = bounds[2:]
-    for i in indices:
-        proc = procs[i]
-        pre = proc.prefix
-        sa = proc.sizes_asc
-        l1, h1, l2, h2 = np.searchsorted(pre, bounds, side="right")
-        if h1 > l1:
-            parts.append(pre[l1:h1])
-        if h2 > l2:
-            parts.append(2.0 * pre[l2:h2])
-        l3, h3 = np.searchsorted(sa, half_bounds, side="right")
-        if h3 > l3:
-            parts.append(2.0 * sa[l3:h3])
-    if not parts:
-        return np.empty(0)
-    return np.unique(np.concatenate(parts))
-
-
-def _prefix_candidates(
-    procs, indices, lo: float, hi: float
-) -> np.ndarray:
-    """Distinct prefix-stream candidates in ``(lo, hi]``, ascending.
-
-    In the all-small regime (``guess >= 2 * max_size``) these are the
-    only thresholds where ``k_hat`` can change, so the walk slices just
-    this stream — one ``searchsorted`` dispatch per processor.
-    """
-    parts = []
-    bounds = (lo, hi)
-    for i in indices:
-        pre = procs[i].prefix
-        l1, h1 = np.searchsorted(pre, bounds, side="right")
-        if h1 > l1:
-            parts.append(pre[l1:h1])
-    if not parts:
-        return np.empty(0)
-    return np.unique(np.concatenate(parts))
-
-
-def _window_planned_moves_small(
-    tables: ThresholdTables, guesses: np.ndarray
-) -> np.ndarray:
-    """``k_hat`` for a chunk of guesses in the all-small regime.
-
-    With every job small at every guess (``guesses[0] >= 2 *
-    max_size``): ``L_T = 0``, so the Step-3 selection total vanishes,
-    ``q = n_i``, and ``k_hat`` reduces to ``sum_i b_i`` — one
-    ``searchsorted`` dispatch per processor and four matrix ops, no
-    sort.  Every guess is feasible (``L_T = 0 <= m``).
-
-    Returns ``(k_hat, b)`` with ``b`` the ``(m, G)`` per-processor
-    removal counts.
-    """
-    procs = tables.processors
-    m = len(procs)
-    count = guesses.shape[0]
-    # keeps rows default to 1 (-> 0 after the global -1): the correct
-    # "keep nothing past P_0" value for empty processors.
-    keeps = np.ones((m, count), dtype=np.int64)
-    njobs = np.zeros((m, 1), dtype=np.int64)
-    for i, proc in enumerate(procs):
-        if not proc.num_jobs:
-            continue
-        njobs[i, 0] = proc.num_jobs
-        keeps[i] = np.searchsorted(proc.prefix, guesses, side="right")
-    keeps -= 1
-    b = njobs - np.minimum(keeps, njobs)
-    return b.sum(axis=0), b
-
-
-def _window_planned_moves(
-    tables: ThresholdTables, guesses: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(feasible, k_hat)`` arrays for a whole chunk of guesses.
-
-    The per-guess math is :meth:`ProcessorTable.evaluate` verbatim —
-    the prefix-slice caps become ``np.minimum`` against the full-array
-    ``searchsorted``, which is equivalent because the prefixes are
-    ascending — and the Step-3 selection total (sum of the ``L_T``
-    smallest ``c_i``) comes from one axis-sort + cumsum over the
-    ``(guesses, m)`` cost matrix instead of a Fenwick query per guess.
-    Cost: two vectorized ``searchsorted`` dispatches per processor
-    (everything else is whole-matrix arithmetic) plus an
-    ``O(G m log m)`` sort — no Python work proportional to ``G``.
-
-    Returns ``(feasible, k_hat, a, b, large)``; the last three are the
-    ``(m, G)`` per-processor value matrices, from which a caller can
-    lift the scan state at any evaluated guess
-    (:meth:`_IncrementalState.from_arrays`).
-    """
-    procs = tables.processors
-    m = len(procs)
-    count = guesses.shape[0]
-    half = guesses / 2.0
-    half_and_full = np.concatenate((half, guesses))
-    # keeps rows default to 1 (-> 0 after the global -1): the correct
-    # "keep nothing past P_0" value for empty processors.
-    keeps = np.ones((m, 2 * count), dtype=np.int64)
-    s_cnt = np.zeros((m, count), dtype=np.int64)
-    njobs = np.zeros((m, 1), dtype=np.int64)
-    for i, proc in enumerate(procs):
-        if not proc.num_jobs:
-            continue
-        njobs[i, 0] = proc.num_jobs
-        keeps[i] = np.searchsorted(proc.prefix, half_and_full, side="right")
-        s_cnt[i] = np.searchsorted(proc.sizes_asc, half, side="right")
-    keeps -= 1
-    a = s_cnt - np.minimum(keeps[:, :count], s_cnt)
-    q = np.where(s_cnt == njobs, njobs, s_cnt + 1)
-    b = q - np.minimum(keeps[:, count:], q)
-    large = njobs - s_cnt
-    total_large = large.sum(axis=0)
-    large_procs = (large > 0).sum(axis=0)
-    feasible = total_large <= m
-    c_sorted = np.sort(np.ascontiguousarray((a - b).T), axis=1)
-    csum = np.cumsum(c_sorted, axis=1)
-    lt = np.minimum(total_large, m)
-    smallest = np.where(
-        lt > 0, csum[np.arange(count), np.maximum(lt, 1) - 1], 0
-    )
-    k_hat = (total_large - large_procs) + b.sum(axis=0) + smallest
-    return feasible, k_hat, a, b, large
-
-
-def scan_incremental(
-    tables: ThresholdTables,
-    k: int,
-    average_load: float,
-) -> tuple[float, int, int, int, _IncrementalState] | None:
-    """Windowed Theorem-3 scan over the per-processor candidate streams.
-
-    Visits exactly the distinct threshold values ``>=`` the
-    :func:`~repro.core.thresholds.scan_start` guess, in ascending order,
-    and stops at the first feasible one planning at most ``k`` moves —
-    i.e. the full scan's stopping decision, without ever materializing
-    the global candidate union (an O(n log n) ``np.unique`` per epoch).
-    Candidates are pulled in one generous guess-space *window* (sized
-    from ``k * mean_size / m``, the load span a ``k``-move budget can
-    flatten) and evaluated in geometrically growing chunks by
-    :func:`_window_planned_moves`, so the per-candidate cost is a numpy
-    inner loop rather than a Python heap step.  Candidate density per
-    unit of guess scales with the processor count and the inverse mean
-    job size — not with ``n`` — so a steady-state scan touches a
-    bounded number of windows no matter how large the snapshot grows.
-
-    Returns ``(stop_guess, k_hat, tried, refreshes, state)`` at the
-    first feasible guess planning at most ``k`` moves, or ``None`` when
-    the streams are exhausted first (the caller reproduces the full
-    path's error semantics).  ``state`` holds every processor's exact
-    ``a`` / ``b`` / ``has_large`` values *at* the stop guess, so the
-    caller finalizes the evaluation from it without another
-    O(m log n) pass.  ``tried`` counts the distinct candidates
-    evaluated (identical to the full scan's ``thresholds_tried``);
-    ``refreshes`` counts per-processor evaluations performed.
-    """
-    streams = _LazyStreams(tables)
-    # Start guess: the largest candidate <= average_load, clamped to the
-    # global extremes — scan_start()'s semantics on the merged union.
-    best_le = -np.inf
-    global_min = np.inf
-    hi_cap = 0.0
-    max_size = 0.0
-    nonempty = []
-    for i, proc in enumerate(tables.processors):
-        if not proc.num_jobs:
-            continue
-        nonempty.append(i)
-        best, smallest = streams.seed(i, average_load)
-        best_le = max(best_le, best)
-        global_min = min(global_min, smallest)
-        # 2 * (full prefix sum) bounds every stream of this processor.
-        hi_cap = max(hi_cap, 2.0 * float(proc.prefix[-1]))
-        max_size = max(max_size, float(proc.sizes_asc[-1]))
-    if not nonempty:
-        return None
-    start_guess = best_le if best_le > -np.inf else global_min
-
-    procs = tables.processors
-    mean_size = average_load * len(procs) / tables.instance.num_jobs
-    # A k-move budget flattens roughly k * mean_size of excess across m
-    # processors, so the stop usually sits within ~2 k mean / m of the
-    # start; a miss re-slices 4x wider, so an underestimate only costs
-    # one extra round of log-time slicing.
-    width = max(
-        4.0 * k * mean_size / len(procs), 16.0 * mean_size
-    )
-    tried = 0
-    refreshes = 0
-    lo = start_guess
-    window = np.asarray([start_guess])  # the start, then sliced windows
-
-    if start_guess >= 2.0 * max_size:
-        # All-small regime: every job is small at the start guess and
-        # stays small at every larger guess, so k_hat == sum_i b_i and
-        # it changes only at prefix-stream thresholds — candidates from
-        # the doubled streams can never be the first feasible value.
-        # Walk just the prefix stream; the exact full-union ``tried``
-        # count is recovered with one counting slice at the stop.
-        while True:
-            chunk = _CHUNK_START
-            offset = 0
-            while offset < window.shape[0]:
-                cands = window[offset:offset + chunk]
-                k_hats, b_mat = _window_planned_moves_small(tables, cands)
-                refreshes += len(nonempty) * int(cands.shape[0])
-                hits = np.flatnonzero(k_hats <= k)
-                if hits.shape[0]:
-                    j = int(hits[0])
-                    stop_guess = float(cands[j])
-                    if stop_guess == start_guess:
-                        tried = 1
-                    else:
-                        tried = 1 + int(
-                            _window_candidates(
-                                procs, nonempty, start_guess, stop_guess
-                            ).shape[0]
-                        )
-                    # s_cnt == n_i everywhere here, so only the a
-                    # column needs recovering (one scalar lookup per
-                    # processor); b comes off the evaluated chunk and
-                    # the large counts are identically zero.
-                    m = len(procs)
-                    a_col = np.zeros(m, dtype=np.int64)
-                    half_stop = stop_guess / 2.0
-                    for i in nonempty:
-                        proc = procs[i]
-                        keep_a = min(
-                            int(
-                                np.searchsorted(
-                                    proc.prefix, half_stop, side="right"
-                                )
-                            )
-                            - 1,
-                            proc.num_jobs,
-                        )
-                        a_col[i] = proc.num_jobs - keep_a
-                    state = _IncrementalState.from_arrays(
-                        tables,
-                        a_col,
-                        np.ascontiguousarray(b_mat[:, j]),
-                        np.zeros(m, dtype=np.int64),
-                    )
-                    return (
-                        stop_guess, int(k_hats[j]), tried, refreshes, state
-                    )
-                offset += chunk
-                chunk *= _CHUNK_GROWTH
-            # The walk always stops at or before the largest prefix sum
-            # (b_i == 0 everywhere there), so exhaustion is impossible;
-            # the bound below is pure defensive termination.
-            if lo >= hi_cap:  # pragma: no cover
-                return None
-            hi = max(min(lo + width, hi_cap), np.nextafter(lo, np.inf))
-            window = _prefix_candidates(procs, nonempty, lo, hi)
-            lo = hi
-            width *= 4.0
-
-    while True:
-        chunk = _CHUNK_START
-        offset = 0
-        while offset < window.shape[0]:
-            cands = window[offset:offset + chunk]
-            feas, k_hats, a, b, large = _window_planned_moves(tables, cands)
-            refreshes += len(nonempty) * int(cands.shape[0])
-            hits = np.flatnonzero(feas & (k_hats <= k))
-            if hits.shape[0]:
-                j = int(hits[0])
-                tried += j + 1
-                stop_guess = float(cands[j])
-                # A processor's values change only at its own
-                # thresholds, so the evaluated column *at* the stop
-                # guess is exactly the live state a step-by-step walk
-                # reaches.
-                state = _IncrementalState.from_arrays(
-                    tables,
-                    np.ascontiguousarray(a[:, j]),
-                    np.ascontiguousarray(b[:, j]),
-                    np.ascontiguousarray(large[:, j]),
-                )
-                return stop_guess, int(k_hats[j]), tried, refreshes, state
-            tried += int(cands.shape[0])
-            offset += chunk
-            chunk *= _CHUNK_GROWTH
-        if lo >= hi_cap:
-            return None
-        hi = max(min(lo + width, hi_cap), np.nextafter(lo, np.inf))
-        window = _window_candidates(procs, nonempty, lo, hi)
-        lo = hi
-        width *= 4.0
-
-
 def _events_by_threshold(
     tables: ThresholdTables,
 ) -> dict[float, set[int]]:
@@ -543,7 +132,8 @@ def m_partition_rebalance_incremental(
     k: int,
     tables: ThresholdTables | None = None,
 ) -> RebalanceResult:
-    """Theorem 3's scan with incremental aggregate maintenance.
+    """Theorem 3's scan, one threshold at a time, with incremental
+    aggregate maintenance.
 
     Semantically identical to
     :func:`repro.core.partition.m_partition_rebalance`; asymptotically
@@ -595,8 +185,8 @@ def m_partition_rebalance_incremental(
         # the tie-breaking selection and build the assignment.
         ev = evaluate_guess(tables, stop_guess)
         assert ev.planned_moves == stop_k_hat, (
-            f"incremental k-hat {stop_k_hat} disagrees with rescan "
-            f"{ev.planned_moves} at guess {stop_guess}"
+            f"incremental k-hat {stop_k_hat} disagrees with the full "
+            f"evaluation {ev.planned_moves} at guess {stop_guess}"
         )
         with telemetry.span("m_partition_inc.construct"):
             assignment = _construct(instance, tables, ev)

@@ -105,9 +105,10 @@ class ProcessorTable:
 
     def evaluate(self, guess: float) -> tuple[int, int, int]:
         """``(a_i, b_i, large_count)`` at ``guess`` with one shared
-        small-count lookup — the per-refresh unit of the incremental
-        scan, where the three separate accessors' repeated
-        ``searchsorted`` dispatches add up."""
+        small-count lookup — the per-processor unit of
+        :func:`~repro.core.partition.evaluate_guess` and of the per-step
+        Fenwick scan's refreshes, where the three separate accessors'
+        repeated ``searchsorted`` dispatches add up."""
         s_cnt = int(np.searchsorted(self.sizes_asc, guess / 2.0, side="right"))
         keep_a = int(
             np.searchsorted(self.prefix[: s_cnt + 1], guess / 2.0, side="right") - 1
@@ -123,12 +124,11 @@ class ThresholdTables:
 
     instance: Instance
     processors: tuple[ProcessorTable, ...]
-    sizes_asc: np.ndarray  # all job sizes, ascending
 
     def total_large(self, guess: float) -> int:
-        """``L_T``: total number of large jobs at this guess."""
-        small = int(np.searchsorted(self.sizes_asc, guess / 2.0, side="right"))
-        return int(self.sizes_asc.shape[0]) - small
+        """``L_T``: total number of large jobs at this guess, summed
+        from the per-processor counts."""
+        return sum(p.num_jobs - p.small_count(guess) for p in self.processors)
 
 
 def processor_view(
@@ -187,11 +187,7 @@ def build_tables(instance: Instance) -> ThresholdTables:
         _processor_table(order[lo:hi], sizes[lo:hi])
         for lo, hi in zip(bounds[:-1], bounds[1:])
     )
-    return ThresholdTables(
-        instance=instance,
-        processors=processors,
-        sizes_asc=np.sort(instance.sizes),
-    )
+    return ThresholdTables(instance=instance, processors=processors)
 
 
 def patch_tables(
@@ -223,14 +219,7 @@ def patch_tables(
     if not changed_jobs.any():
         if old is instance:
             return tables, 0
-        return (
-            ThresholdTables(
-                instance=instance,
-                processors=tables.processors,
-                sizes_asc=tables.sizes_asc,
-            ),
-            0,
-        )
+        return ThresholdTables(instance=instance, processors=tables.processors), 0
     affected_mask = np.zeros(instance.num_processors, dtype=bool)
     affected_mask[old.initial[changed_jobs]] = True
     affected_mask[instance.initial[changed_jobs]] = True
@@ -243,13 +232,8 @@ def patch_tables(
     for p in changed_procs.tolist():
         lo, hi = bounds[p], bounds[p + 1]
         processors[p] = _processor_table(order[lo:hi], sizes[lo:hi])
-    sizes_asc = np.sort(instance.sizes) if size_changed.any() else tables.sizes_asc
     return (
-        ThresholdTables(
-            instance=instance,
-            processors=tuple(processors),
-            sizes_asc=sizes_asc,
-        ),
+        ThresholdTables(instance=instance, processors=tuple(processors)),
         int(changed_procs.shape[0]),
     )
 
@@ -279,27 +263,14 @@ def patch_tables_hint(
     byte-identical to a :func:`build_tables` rebuild (enforced by
     differential tests).
 
-    ``tables.sizes_asc`` is **not** updated (that would be an O(n)
-    merge per epoch); the returned tables carry the stale array and the
-    caller owns the discipline of never reading it until refreshed —
-    see :class:`repro.core.engine.RebalanceEngine`, which re-sorts it
-    lazily on the next full-scan decide.
-
     Returns ``(new_tables, changed_procs)`` with the affected processor
-    indices (for candidate-stream maintenance).
+    indices.
     """
     n = instance.num_jobs
     if idx.shape[0] == 0:
         if tables.instance is instance:
             return tables, idx
-        return (
-            ThresholdTables(
-                instance=instance,
-                processors=tables.processors,
-                sizes_asc=tables.sizes_asc,
-            ),
-            idx,
-        )
+        return ThresholdTables(instance=instance, processors=tables.processors), idx
     new_initial = instance.initial[idx]
     changed_procs = np.unique(np.concatenate((old_initial, new_initial)))
     # Arrivals grouped by destination bucket in (size, index) order —
@@ -347,11 +318,7 @@ def patch_tables_hint(
             jobs_asc=jobs_asc, sizes_asc=sizes_asc, prefix=prefix
         )
     return (
-        ThresholdTables(
-            instance=instance,
-            processors=tuple(processors),
-            sizes_asc=tables.sizes_asc,
-        ),
+        ThresholdTables(instance=instance, processors=tuple(processors)),
         changed_procs,
     )
 
@@ -388,12 +355,11 @@ def proc_candidates(proc: ProcessorTable) -> np.ndarray:
     """One processor's Lemma-5 threshold values, ascending (dups kept).
 
     The union of these streams over all processors equals the value set
-    of :func:`candidate_guesses`; the engine's O(churn) scan slices
-    windows of the per-processor streams instead of materializing (and
-    re-sorting) the global union each epoch, so a churn that touches
-    ``c`` buckets only rebuilds ``c`` streams.  Duplicate values are
-    deduplicated at scan time, not here — keeping the build a pure
-    sorted merge.
+    of :func:`candidate_guesses`; M-PARTITION's windowed scan
+    (:func:`repro.core.partition.scan_thresholds`) slices windows of the
+    per-processor streams instead of materializing (and re-sorting) the
+    global union.  Duplicate values are deduplicated at scan time, not
+    here — keeping the build a pure sorted merge.
     """
     if proc.num_jobs == 0:
         return np.empty(0)
@@ -414,8 +380,9 @@ def scan_start(candidates: np.ndarray, average_load: float) -> int:
     (only possible through float round-off — the heaviest processor's
     full load is itself a candidate and bounds the average from above)
     the scan starts at the largest one instead of indexing past the end.
-    Every scanner (rescan, incremental, engine) shares this helper so
-    they stop at the same threshold by construction.
+    The windowed scan (:func:`repro.core.partition.scan_thresholds`)
+    derives the same start from the per-processor streams without the
+    global union; the Fenwick scan and the tests use this helper.
     """
     if candidates.shape[0] == 0:
         return 0
@@ -430,9 +397,10 @@ def candidate_guesses(tables: ThresholdTables) -> np.ndarray:
     ``A`` between consecutive values of this set, so M-PARTITION only
     ever needs to try these ``O(n)`` guesses.
     """
-    parts: list[np.ndarray] = [2.0 * tables.sizes_asc]
+    parts: list[np.ndarray] = []
     for proc in tables.processors:
         if proc.num_jobs:
+            parts.append(2.0 * proc.sizes_asc)
             parts.append(proc.prefix[1:])
             parts.append(2.0 * proc.prefix[1:])
     if not parts:

@@ -603,8 +603,7 @@ def bench_e18(params: dict[str, Any], log: Log):
             for proc in processes:
                 proc.terminate()
         counters = status["router"]["metrics"]["counters"]
-        engines = {"incremental_decides": 0, "decisions": 0,
-                   "churn_fallbacks": 0}
+        engines = {"incremental_decides": 0, "decisions": 0}
         for backend in status["backends"].values():
             for shard_stats in backend.get("shards", {}).values():
                 engine = shard_stats.get("engine") or {}
@@ -668,7 +667,6 @@ def bench_e18(params: dict[str, Any], log: Log):
         ),
         "incremental_decides_small": small_engines["incremental_decides"],
         "incremental_decides_large": large_engines["incremental_decides"],
-        "churn_fallbacks_large": large_engines["churn_fallbacks"],
         "router_passthrough_ok": bool(
             large_counters.get("router.resident_deltas", 0)
             >= shards * (epochs - 1)

@@ -350,8 +350,7 @@ _SCENARIOS = (
                    "legs_clean", "total_sites_large", "scale_target_met",
                    "router_passthrough_ok", "replication_replays_ok",
                    "replication_errors", "p50_growth_bound",
-                   "incremental_decides_small", "incremental_decides_large",
-                   "churn_fallbacks_large"),
+                   "incremental_decides_small", "incremental_decides_large"),
             band={"p50_growth": 2.5, "steady_p50_small_ms": 4.0,
                   "steady_p50_large_ms": 4.0},
         ),
@@ -440,7 +439,8 @@ _SCENARIOS = (
     ),
     Scenario(
         scenario_id="A3",
-        title="Ablation: M-PARTITION threshold scan (rescan vs incremental)",
+        title="Ablation: M-PARTITION threshold scan (windowed vs per-step "
+              "Fenwick)",
         workload=WorkloadAxis(family="random", costs="unit"),
         traffic=TrafficAxis(kind="none", arrival="one-shot"),
         transport=TransportAxis(solver="m-partition"),

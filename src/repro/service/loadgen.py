@@ -220,12 +220,12 @@ def calibrate_workload(
     *,
     seed: int = 14,
     target_solve_s: float = 0.015,
-    num_servers: int = 32,
+    num_sites: int = 3_000,
     k: int = 8,
     epochs: int = 24,
-    max_sites: int = 24_000,
+    max_servers: int = 2_048,
 ) -> tuple[LoadGenConfig, float]:
-    """Grow the snapshot size until one from-scratch solve costs at
+    """Grow the server count until one from-scratch solve costs at
     least ``target_solve_s`` on this host; return the config and the
     measured scratch solve time.
 
@@ -235,14 +235,15 @@ def calibrate_workload(
     than the instance *size* pins that ratio across hosts — a faster
     machine just gets a proportionally bigger cluster to rebalance.
 
-    The default server count is deliberately high (32): solve time
-    grows with both sites and servers, but wire cost only with sites,
-    so hitting the target at a high ``m`` keeps the per-request JSON
-    cost — which bounds what the *batched* server can absorb — low.
+    The snapshot keeps ``num_sites`` sites and the server count doubles
+    from 32: solve time grows with the server count (table build,
+    threshold scan and construction all do per-server work), but wire
+    cost only with sites, so the per-request JSON cost — which bounds
+    what the *batched* server can absorb — is the same on every host.
     """
     from ..core.partition import m_partition_rebalance
 
-    num_sites = 1500
+    num_servers = 32
     while True:
         config = LoadGenConfig(
             num_sites=num_sites, num_servers=num_servers, k=k,
@@ -254,9 +255,9 @@ def calibrate_workload(
             start = time.perf_counter()
             m_partition_rebalance(snapshot, k)
             scratch_s = min(scratch_s, time.perf_counter() - start)
-        if scratch_s >= target_solve_s or num_sites * 2 > max_sites:
+        if scratch_s >= target_solve_s or num_servers * 2 > max_servers:
             return config, scratch_s
-        num_sites *= 2
+        num_servers *= 2
 
 
 def calibrate_wire_workload(

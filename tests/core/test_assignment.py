@@ -1,5 +1,11 @@
 """Unit tests for Assignment accounting."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +92,40 @@ class TestValidation:
         a.validate(max_makespan=7.0)
         with pytest.raises(AssertionError):
             a.validate(max_makespan=6.0)
+
+    def test_post_conditions_hold_under_optimize(self):
+        # ``python -O`` strips assert statements; the solver
+        # post-conditions must still raise there.
+        script = textwrap.dedent("""
+            from repro.core import Assignment, Certificate, make_instance
+            inst = make_instance(sizes=[4, 3, 2, 1], initial=[0, 0, 1, 1],
+                                 num_processors=3)
+            over = Assignment(instance=inst, mapping=[2, 2, 1, 1])  # 2 moves
+            bad = Certificate(valid=False, makespan=4.0, moves=2,
+                              relocation_cost=2.0, opt_lower_bound=4.0,
+                              proven_ratio=1.0, violations=("x",))
+            for check in (lambda: over.validate(max_moves=0), bad.require):
+                try:
+                    check()
+                except AssertionError as exc:
+                    print("raised:", exc)
+                else:
+                    print("passed silently")
+        """)
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines() == [
+            "raised: 2 moves exceeds budget 0",
+            "raised: certificate violations: ('x',)",
+        ]
 
 
 class TestProperties:

@@ -1,11 +1,11 @@
 """Tests for the engine's O(churn) decide path and the rolling hash.
 
 The O(churn) path (churn hints, hint-based table patching, the
-heap-merged incremental scan) carries the same transparent-acceleration
-contract as the rest of the engine: every decision must be
-byte-identical to a from-scratch ``m_partition_rebalance`` call,
-including the ``thresholds_tried`` count (the scans must stop at the
-same threshold for the same reason).  The rolling fingerprint carries a
+windowed threshold scan over the patched tables) carries the same
+transparent-acceleration contract as the rest of the engine: every
+decision must be byte-identical to a from-scratch
+``m_partition_rebalance`` call, including the ``thresholds_tried``
+count (the scans must stop at the same threshold for the same reason).  The rolling fingerprint carries a
 contract of its own: rolling a churn of any size lands on the exact
 digest a fresh O(n) recompute produces.
 """
@@ -17,8 +17,10 @@ from repro.core import RebalanceEngine, build_tables, m_partition_rebalance
 from repro.core import rollhash
 from repro.core.engine import _merge_hints, _normalize_hint, snapshot_fingerprint
 from repro.core.instance import Instance
-from repro.core.partition_incremental import scan_incremental
+from repro.core.partition import _window_candidates, scan_thresholds
 from repro.core.thresholds import patch_tables_hint, proc_candidates
+
+from .test_threshold_scan import rescan
 
 
 def _random_state(rng, n, m, integer=False):
@@ -161,7 +163,7 @@ class TestHintNormalization:
 
 class TestPatchTablesHint:
     """Hint-based bucket patching must reproduce build_tables buckets
-    byte-for-byte (sizes_asc excepted — it is deliberately stale)."""
+    byte-for-byte."""
 
     @pytest.mark.parametrize("integer", [False, True])
     def test_patched_buckets_match_full_build(self, integer):
@@ -203,7 +205,8 @@ class TestPatchTablesHint:
 
 
 class TestScanIncremental:
-    """The lazy-stream scan must stop exactly where the full scan stops."""
+    """The windowed scan must stop exactly where the per-guess rescan
+    stops."""
 
     def test_matches_full_scan_stop(self):
         rng = np.random.default_rng(31)
@@ -215,42 +218,27 @@ class TestScanIncremental:
                 rng, n, m, integer=bool(trial % 2)
             )
             inst = Instance.trusted(sizes, costs, m, initial)
-            tables = build_tables(inst)
-            ref = m_partition_rebalance(
-                Instance(sizes=sizes.copy(), costs=costs.copy(),
-                         num_processors=m, initial=initial.copy()),
-                k,
-            )
-            scan = scan_incremental(tables, k, inst.average_load)
-            assert scan is not None
-            stop_guess, k_hat, tried, _refreshes, state = scan
-            assert stop_guess == ref.guessed_opt
-            assert k_hat == ref.planned_moves
-            assert tried == ref.meta["thresholds_tried"]
-            assert state.total_large_jobs == ref.meta["L_T"]
+            ref, ref_tried, _ = rescan(inst, k)
+            ev, tried = scan_thresholds(build_tables(inst), k, inst.average_load)
+            assert ev.guess == ref.guess
+            assert ev.planned_moves == ref.planned_moves
+            assert tried == ref_tried
+            assert ev.total_large == ref.total_large
+            assert np.array_equal(ev.selected, ref.selected)
+            assert np.array_equal(ev.a_values, ref.a_values)
+            assert np.array_equal(ev.b_values, ref.b_values)
 
     def test_lazy_streams_enumerate_proc_candidates(self):
-        # The lazy cursors and the materialized per-processor stream
-        # must expose the same value sequence.
-        from repro.core.partition_incremental import _LazyStreams
-
+        # Slicing one processor's streams over the whole guess range
+        # must yield exactly its distinct materialized candidates.
         rng = np.random.default_rng(32)
         sizes, costs, initial = _random_state(rng, 60, 4, integer=True)
         inst = Instance.trusted(sizes, costs, 4, initial)
         tables = build_tables(inst)
         for i, proc in enumerate(tables.processors):
             expected = np.unique(proc_candidates(proc))
-            streams = _LazyStreams(tables)
-            streams.seed(i, -1.0)  # cursors at the very beginning
-            got = []
-            cur = -np.inf
-            while True:
-                head = streams.head(i, cur)
-                if head == np.inf:
-                    break
-                got.append(head)
-                cur = head
-            assert np.array_equal(np.asarray(got), expected)
+            got = _window_candidates(tables.processors, [i], 0.0, np.inf)
+            assert np.array_equal(got, expected)
 
 
 class TestChurnHintDecides:
@@ -261,12 +249,14 @@ class TestChurnHintDecides:
         sizes, costs, initial = _random_state(rng, n, m, integer)
         eng = RebalanceEngine(k=k)
         hint = None
+        bursts = 0  # burst-hinted decides checked byte-identical
         for e in range(epochs):
             inst = Instance.trusted(sizes.copy(), costs.copy(), m, initial.copy())
             r = eng.rebalance(inst, changed=hint)
             ref = _reference(sizes, costs, m, initial, k)
             assert_same_decision(r, ref)
             assert r.meta["thresholds_tried"] == ref.meta["thresholds_tried"]
+            bursts += e > 0 and (e - 1) % 5 == 0
             # Closed loop: apply the moves; the moved jobs enter the
             # hint with their pre-move placement, exactly like the
             # server's delta frames.
@@ -276,7 +266,7 @@ class TestChurnHintDecides:
                 (mv, sizes[mv].copy(), costs[mv].copy(), initial[mv].copy())
             ]
             initial = mapping.copy()
-            c = churn if e % 5 else churn * 20  # periodic fallback burst
+            c = churn if e % 5 else churn * 20  # periodic burst
             idx = np.sort(
                 rng.choice(n, size=min(c, n), replace=False)
             ).astype(np.int64)
@@ -293,19 +283,21 @@ class TestChurnHintDecides:
             hint = tuple(
                 np.concatenate([p[f] for p in parts]) for f in range(4)
             )
-        return eng.stats
+        return eng.stats, bursts
 
     def test_float_sizes_stream(self):
-        stats = self._closed_loop(41, 800, 8, 48, 30, 10)
+        stats, _ = self._closed_loop(41, 800, 8, 48, 30, 10)
         assert stats.incremental_decides > 0
 
     def test_integer_ties_cross_fallback_threshold(self):
-        # Integer sizes maximize threshold-value ties; the periodic
-        # burst epochs exceed churn_limit and must fall back to the
-        # vectorized full scan — still byte-identical.
-        stats = self._closed_loop(42, 500, 6, 32, 30, 8, integer=True)
-        assert stats.incremental_decides > 0
-        assert stats.churn_fallbacks > 0
+        # Integer sizes maximize threshold-value ties; every fifth hint
+        # churns 160 of the 500 jobs (past the 25% line where hinted
+        # decides used to fall back to a full rescan).  Those burst
+        # epochs decide from the hint like any other and stay
+        # byte-identical, thresholds_tried included.
+        stats, bursts = self._closed_loop(42, 500, 6, 32, 30, 8, integer=True)
+        assert bursts == 6
+        assert stats.incremental_decides == stats.decisions - 1
 
     def test_arrival_departure_forces_full_rebuild(self):
         rng = np.random.default_rng(43)
@@ -414,7 +406,8 @@ class TestChurnHintDecides:
         assert_same_decision(r2, _reference(sizes, costs, m, initial, k))
 
     def test_stats_count_incremental_decides(self):
-        stats = self._closed_loop(46, 300, 4, 24, 10, 4)
+        stats, _ = self._closed_loop(46, 300, 4, 24, 10, 4)
         d = stats.as_dict()
-        assert d["incremental_decides"] > 0
-        assert "churn_fallbacks" in d
+        # Every decide after the first carries a churn hint.
+        assert d["decisions"] == 10
+        assert d["incremental_decides"] == 9

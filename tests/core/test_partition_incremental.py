@@ -1,5 +1,6 @@
-"""Differential tests: incremental vs rescan M-PARTITION, and the
-Fenwick order-statistic structure."""
+"""Differential tests: the per-step Fenwick M-PARTITION scan vs the
+windowed one behind ``m_partition_rebalance``, and the Fenwick
+order-statistic structure."""
 
 import numpy as np
 import pytest

@@ -80,7 +80,7 @@ def oracle_tables(instance: Instance) -> list[tuple[np.ndarray, ...]]:
         sizes_asc = instance.sizes[jobs_asc] if bucket else np.empty(0)
         prefix = np.concatenate(([0.0], np.cumsum(sizes_asc)))
         out.append((jobs_asc, sizes_asc, prefix))
-    return out + [(np.sort(instance.sizes),)]
+    return out
 
 
 def oracle_greedy(instance: Instance, k: int, insert_order: str) -> dict:
@@ -167,10 +167,8 @@ def oracle_removal_bound(instance: Instance, k: int) -> float:
 
 
 def table_arrays(tables) -> list[tuple[np.ndarray, ...]]:
-    """Every array of ``tables``: each processor's, then ``sizes_asc``."""
-    return [(p.jobs_asc, p.sizes_asc, p.prefix) for p in tables.processors] + [
-        (tables.sizes_asc,)
-    ]
+    """Every array of ``tables``, processor by processor."""
+    return [(p.jobs_asc, p.sizes_asc, p.prefix) for p in tables.processors]
 
 
 def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:

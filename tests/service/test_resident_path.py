@@ -3,9 +3,9 @@ and the churn-stream load generator.
 
 Every differential test holds the same invariant the rest of the suite
 does: no fast path may ever change a decision.  A delta stream applied
-onto the server's resident arrays — whatever mix of churn sizes,
-response shapes, and engine fallbacks it crosses — must answer exactly
-what a from-scratch solve of the materialized snapshot answers.
+onto the server's resident arrays — whatever mix of churn sizes and
+response shapes it crosses — must answer exactly what a from-scratch
+solve of the materialized snapshot answers.
 """
 
 from __future__ import annotations
@@ -125,10 +125,10 @@ class TestResidentDifferential:
         assert engine["incremental_decides"] >= 1
 
     def test_fallback_threshold_crossing_still_exact(self, server):
-        """A delta touching nearly every site crosses the engine's
-        churn-limit fallback (full table rebuild instead of the
-        incremental scan); the decision must not change, and the
-        stream must continue incrementally afterwards."""
+        """A delta touching nearly every site (past where hinted decides
+        used to fall back to a full rescan) patches every bucket from
+        the hint; the decision must not change, and the stream must
+        continue incrementally afterwards."""
         k = 2
         n, m = 64, 4
         rng = np.random.default_rng(33)
