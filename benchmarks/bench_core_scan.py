@@ -5,10 +5,15 @@ Every M-PARTITION decide runs one scan
 ``m_partition_rebalance`` and every engine decide.  The cold cases are
 offline-solve's shapes at n = 100k, m = 64: lognormal sizes at k = 512
 (the scan stops at its start guess) and Zipf(0.9) loads placed round
-robin at k = 64 (about 660 thresholds).  The engine case is an
+robin at k = 64 (about 660 thresholds).  The engine cases are an
 unhinted decide on a 50k-site snapshot where every load moved since the
-engine's last decide, as full-drift sends each epoch: a table patch of
-every bucket, the scan, the construction and its validation.
+engine's last decide, as full-drift sends each epoch (a table patch of
+every row, the scan, the construction and its validation), and a hinted
+steady-state decide in delta-churn's shape: 200k Zipf sites, m = 64,
+k = 512, 16 loads changed per epoch and the previous decision's moves
+riding along, applied through the server's resident arrays
+(``loadgen.LocalChurnStream``: a row patch per affected processor, a
+scan that stops at its start guess, and the construction).
 
     PYTHONPATH=src python -m pytest benchmarks/bench_core_scan.py --benchmark-only
 """
@@ -19,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core import Instance, RebalanceEngine, m_partition_rebalance
+from repro.service.loadgen import ChurnStreamConfig, LocalChurnStream
 from repro.websim.traffic import zipf_popularities
 from repro.workloads import random_instance
 
@@ -73,3 +79,17 @@ def test_engine_unhinted_decide_every_load_moved_n50k(benchmark):
     result = benchmark(lambda: engine.rebalance(next(snapshots)))
     assert result.num_moves <= 512
     assert engine.stats.buckets_patched >= M
+
+
+def test_engine_hinted_decide_delta_churn_n200k(benchmark):
+    stream = LocalChurnStream(
+        ChurnStreamConfig(num_sites=200_000, num_servers=M, k=512, seed=7)
+    )
+    for _ in range(10):  # past the seed epoch's burst of moves
+        stream.decide(*stream.next_epoch())
+    result = benchmark.pedantic(
+        stream.decide, setup=lambda: (stream.next_epoch(), {}), rounds=60,
+        iterations=1,
+    )
+    assert result.num_moves <= 512
+    assert stream.engine.stats.incremental_decides >= 11

@@ -52,7 +52,6 @@ from .ptas import PTASLimits, ptas_rebalance
 from .result import RebalanceResult
 from .solvers import available_algorithms, rebalance, register_algorithm
 from .thresholds import (
-    ProcessorTable,
     ThresholdTables,
     build_tables,
     candidate_guesses,
@@ -70,7 +69,6 @@ __all__ = [
     "Instance",
     "Job",
     "KnapsackSolution",
-    "ProcessorTable",
     "PTASLimits",
     "RebalanceEngine",
     "RebalanceResult",

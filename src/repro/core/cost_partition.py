@@ -321,10 +321,11 @@ def _construct(instance: Instance, plan: CostGuessPlan) -> Assignment:
     # processors.  The counting identity of Section 3 guarantees enough
     # slots; unselected processors whose b-plan keeps a large job only
     # free up slots.
-    assert len(floating_large) <= len(selected_large_free), (
-        f"{len(floating_large)} floating large jobs but only "
-        f"{len(selected_large_free)} large-free selected processors"
-    )
+    if len(floating_large) > len(selected_large_free):
+        raise AssertionError(
+            f"{len(floating_large)} floating large jobs but only "
+            f"{len(selected_large_free)} large-free selected processors"
+        )
     floating_large.sort(key=lambda j: (-instance.sizes[j], j))
     for j, p in zip(floating_large, selected_large_free):
         mapping[j] = p

@@ -10,18 +10,20 @@ shifted, so almost all of that work is repeated verbatim.
 instance and amortizes the solver state across them:
 
 * **Table cache** — the per-processor ascending orders and prefix sums
-  (:class:`~repro.core.thresholds.ThresholdTables`) are kept between
-  calls and patched: from a churn hint naming the changed jobs
-  (:func:`~repro.core.thresholds.patch_tables_hint`, O(churn · bucket))
-  or, without one, from a value diff against the cached snapshot
-  (:func:`~repro.core.thresholds.patch_tables`).  Only the processors
-  whose job composition changed are re-sorted, ``O(changed · n_i log
-  n_i)`` instead of the full ``O(n log n)`` sort of every job.
+  (the rows of :class:`~repro.core.thresholds.ThresholdTables`) are
+  kept between calls and patched in place: from a churn hint naming the
+  changed jobs (:func:`~repro.core.thresholds.patch_tables_hint`, a
+  sorted merge into each affected row, O(churn + affected rows'
+  lengths)) or, without one, from a value diff against the cached
+  snapshot (:func:`~repro.core.thresholds.patch_tables`).  Only the
+  rows whose job composition changed are rewritten, instead of the full
+  ``O(n log n)`` sort of every job.
 * **One threshold scan** — every decide, hinted or not, runs
   M-PARTITION's windowed scan
   (:func:`~repro.core.partition.scan_thresholds`) over the patched
-  tables, and finalizes the Step-3 selection from the scan's
-  per-processor columns at the stop guess, exactly as a from-scratch
+  tables, reading all rows with whole-array operations, and finalizes
+  the Step-3 selection from the scan's per-processor columns at the
+  stop guess, exactly as a from-scratch
   :func:`~repro.core.partition.m_partition_rebalance` does.
 * **Decision cache** — a fingerprint (blake2b over sizes, costs,
   initial assignment and processor count) keyed LRU of full
@@ -36,8 +38,9 @@ snapshot; the caches are pure transparent accelerations.
 
 Telemetry counters (visible through :mod:`repro.telemetry` and mirrored
 on :attr:`RebalanceEngine.stats`): ``cache_hits``, ``tables_reused``,
-``buckets_patched``, ``full_builds``, ``incremental_decides`` (decides
-served from a churn hint), plus the shared ``thresholds_tried``.
+``buckets_patched`` (table rows patched), ``full_builds``,
+``incremental_decides`` (decides served from a churn hint), plus the
+shared ``thresholds_tried``.
 """
 
 from __future__ import annotations
@@ -256,8 +259,11 @@ class RebalanceEngine:
             self.stats.full_builds += 1
             telemetry.count("full_builds")
         else:
+            # Patches rewrite rows in place: until one completes, the
+            # cached tables describe no snapshot.
+            tables, self._tables = self._tables, None
             with telemetry.span("engine.patch_tables"):
-                tables, patched = patch_tables(self._tables, instance)
+                tables, patched = patch_tables(tables, instance)
             if patched < 0:
                 self.stats.full_builds += 1
                 telemetry.count("full_builds")
@@ -293,9 +299,9 @@ class RebalanceEngine:
         arrays mutated in place, aliasing the tables' own snapshot.
         Hinted or not, the decide runs the one windowed threshold scan
         (:func:`~repro.core.partition.scan_thresholds`), so a hinted
-        decide costs O(churn · bucket + scanned · m) and is
-        byte-identical to a from-scratch decide (differential tests
-        enforce it).
+        decide costs a row patch per affected processor plus
+        whole-array scan and construction work, and is byte-identical to
+        a from-scratch decide (differential tests enforce it).
         """
         tmark = telemetry.mark()
         fp = fingerprint if fingerprint is not None else _fingerprint(instance)
@@ -324,9 +330,10 @@ class RebalanceEngine:
             and n > 0
         )
         if hint_usable:
+            tables, self._tables = self._tables, None
             with telemetry.span("engine.patch_tables"):
                 tables, changed_procs = patch_tables_hint(
-                    self._tables, instance, hint[0], hint[3]
+                    tables, instance, hint[0], hint[3]
                 )
             self._tables = tables
             self._hint_patched = True

@@ -10,12 +10,12 @@ threshold values enumerated by :mod:`repro.core.thresholds`, so it scans
 those guesses in increasing order and stops at the first guess whose
 planned move count is within the budget ``k``.  Lemma 6 shows the
 stopping guess never exceeds the true ``OPT``, which preserves the
-``1.5``-approximation.  The scan (:func:`scan_thresholds`) slices the
-per-processor threshold streams in guess-space windows and evaluates
-whole chunks of guesses with numpy, never materializing the global
-threshold union; every M-PARTITION decide — a cold
-:func:`m_partition_rebalance` and every
-:class:`~repro.core.engine.RebalanceEngine` decide — runs it.
+``1.5``-approximation.  The scan (:func:`scan_thresholds`) slices every
+table row's threshold streams in guess-space windows and evaluates
+whole chunks of guesses as ``(m, G)`` matrices, with no per-processor
+Python loop and without materializing the global threshold union;
+every M-PARTITION decide — a cold :func:`m_partition_rebalance` and
+every :class:`~repro.core.engine.RebalanceEngine` decide — runs it.
 
 Terminology (Definition 1 of Section 3, with guess ``A``):
 
@@ -90,7 +90,7 @@ def _finalize_evaluation(
     """Turn per-processor ``(a, b, has_large)`` values into the Step-3
     selection and planned move count.
 
-    Shared by the per-processor path (:func:`evaluate_guess`) and the
+    Shared by the single-guess path (:func:`evaluate_guess`) and the
     windowed scan (:func:`scan_thresholds`), so both apply the identical
     tie-breaking rule and produce byte-identical evaluations.
     """
@@ -134,6 +134,42 @@ def _finalize_evaluation(
     )
 
 
+def _row_values(
+    njobs: np.ndarray, keep_a: np.ndarray, keep_b: np.ndarray, s_cnt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a, b, large)`` per row and guess from per-row counts.
+
+    ``keep_a`` and ``keep_b`` count a row's prefix sums (``P_0``
+    included) at most ``guess / 2`` and ``guess``; ``s_cnt`` counts its
+    sizes at most ``guess / 2`` — the smalls.  Removing the largest
+    smalls first minimizes removals, so ``a_i = s_cnt - max{l <= s_cnt
+    : P_l <= guess / 2}``.  ``b_i`` is taken on the post-Step-1
+    configuration, all smalls plus the smallest large job — the first
+    ``q = min(s_cnt + 1, n_i)`` jobs — so ``b_i = q - max{l <= q : P_l
+    <= guess}``.  The caps are ``np.minimum``s because prefix sums
+    ascend.
+    """
+    a = s_cnt - np.minimum(keep_a - 1, s_cnt)
+    q = np.where(s_cnt == njobs, njobs, s_cnt + 1)
+    b = q - np.minimum(keep_b - 1, q)
+    return a, b, njobs - s_cnt
+
+
+def _values_at(
+    tables: ThresholdTables, guesses: np.ndarray, counts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a, b, large)`` as ``(m, G)`` matrices at any guesses, from one
+    batched bisection over every row (or from its precomputed
+    ``counts``)."""
+    half = guesses / 2.0
+    g = guesses.shape[0]
+    if counts is None:
+        counts = tables.count_le(prefix=np.concatenate((half, guesses)), sizes=half)
+    return _row_values(
+        tables.count[:, None], counts[:, :g], counts[:, g:2 * g], counts[:, 2 * g:]
+    )
+
+
 def evaluate_guess(tables: ThresholdTables, guess: float) -> GuessEvaluation:
     """Compute ``(L_T, a, b, c)``, the Step-3 selection and the planned
     move count for one guess, without constructing the assignment.
@@ -142,141 +178,62 @@ def evaluate_guess(tables: ThresholdTables, guess: float) -> GuessEvaluation:
     processors; no half-optimal configuration exists at this guess).
     ``L_T`` is the sum of the per-processor large-job counts.
     """
-    m = len(tables.processors)
-    a = np.empty(m, dtype=np.int64)
-    b = np.empty(m, dtype=np.int64)
-    large = np.empty(m, dtype=np.int64)
-    for i, proc in enumerate(tables.processors):
-        a[i], b[i], large[i] = proc.evaluate(guess)
-    return _finalize_evaluation(guess, int(large.sum()), a, b, large > 0)
+    a, b, large = _values_at(tables, np.asarray([float(guess)]))
+    return _finalize_evaluation(
+        guess, int(large.sum()), a[:, 0], b[:, 0], large[:, 0] > 0
+    )
 
 
 _CHUNK_START = 256     # candidates evaluated in the first chunk
 _CHUNK_GROWTH = 4      # geometric chunk growth on a miss
 
 
-def _window_candidates(procs, indices, lo: float, hi: float) -> np.ndarray:
-    """Distinct candidate values in ``(lo, hi]`` across the named
-    processors' three Lemma-5 streams, ascending.
-
-    Doubling and halving are exact in binary floats, so the doubled
-    streams slice against the undoubled arrays at the halved bounds —
-    the values returned are bit-identical to the ones a merged
-    enumeration would yield.  Two ``searchsorted`` dispatches per
-    processor plus one ``unique`` over the window.
-    """
-    parts = []
-    bounds = (lo, hi, lo / 2.0, hi / 2.0)
-    half_bounds = bounds[2:]
-    for i in indices:
-        proc = procs[i]
-        pre = proc.prefix
-        sa = proc.sizes_asc
-        l1, h1, l2, h2 = np.searchsorted(pre, bounds, side="right")
-        if h1 > l1:
-            parts.append(pre[l1:h1])
-        if h2 > l2:
-            parts.append(2.0 * pre[l2:h2])
-        l3, h3 = np.searchsorted(sa, half_bounds, side="right")
-        if h3 > l3:
-            parts.append(2.0 * sa[l3:h3])
-    if not parts:
-        return np.empty(0)
-    return np.unique(np.concatenate(parts))
+def _window_candidates(tables: ThresholdTables, lo: float, hi: float) -> np.ndarray:
+    """Distinct candidate values in ``(lo, hi]`` across every row's
+    three streams, ascending."""
+    return np.unique(tables.window(lo, hi)[1])
 
 
-def _prefix_candidates(procs, indices, lo: float, hi: float) -> np.ndarray:
-    """Distinct prefix-stream candidates in ``(lo, hi]``, ascending.
-
-    In the all-small regime (``guess >= 2 * max_size``) these are the
-    only thresholds where ``k_hat`` can change, so the walk slices just
-    this stream — one ``searchsorted`` dispatch per processor.
-    """
-    parts = []
-    bounds = (lo, hi)
-    for i in indices:
-        pre = procs[i].prefix
-        l1, h1 = np.searchsorted(pre, bounds, side="right")
-        if h1 > l1:
-            parts.append(pre[l1:h1])
-    if not parts:
-        return np.empty(0)
-    return np.unique(np.concatenate(parts))
-
-
-def _window_planned_moves_small(
-    tables: ThresholdTables, guesses: np.ndarray
+def _values_in_window(
+    tables: ThresholdTables,
+    guesses: np.ndarray,
+    below: np.ndarray,
+    values: np.ndarray,
+    streams: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(k_hat, a, b)`` for a chunk of guesses in the all-small regime.
+    """``(a, b, large)`` at ascending ``guesses`` inside a
+    :meth:`~repro.core.thresholds.ThresholdTables.window`.
 
-    With every job small at every guess (``guesses[0] >= 2 *
-    max_size``): ``L_T = 0``, so the Step-3 selection total vanishes,
-    ``s_cnt = q = n_i``, and ``k_hat`` reduces to ``sum_i b_i`` — one
-    ``searchsorted`` dispatch per processor (at the halved and the full
-    guesses) and a few matrix ops, no sort.  Every guess is feasible
-    (``L_T = 0 <= m``).  ``a`` and ``b`` are the ``(m, G)``
-    per-processor value matrices.
+    A row's count at a guess is its count at the window's ``lo`` plus
+    its window values up to the guess, so one ``searchsorted`` of the
+    window's values into the guesses, a ``bincount`` and a cumsum along
+    the guesses replace a per-row search at every guess.
     """
-    procs = tables.processors
-    m = len(procs)
-    count = guesses.shape[0]
-    half_and_full = np.concatenate((guesses / 2.0, guesses))
-    # keeps rows default to 1 (-> 0 after the global -1): the correct
-    # "keep nothing past P_0" value for empty processors.
-    keeps = np.ones((m, 2 * count), dtype=np.int64)
-    njobs = np.zeros((m, 1), dtype=np.int64)
-    for i, proc in enumerate(procs):
-        if not proc.num_jobs:
-            continue
-        njobs[i, 0] = proc.num_jobs
-        keeps[i] = np.searchsorted(proc.prefix, half_and_full, side="right")
-    keeps -= 1
-    removed = njobs - np.minimum(keeps, njobs)
-    a, b = removed[:, :count], removed[:, count:]
-    return b.sum(axis=0), a, b
+    m = tables.num_processors
+    g = guesses.shape[0]
+    at = np.searchsorted(guesses, values, side="left")
+    inside = at < g
+    hist = np.bincount(streams[inside] * g + at[inside], minlength=3 * m * g)
+    counts = np.cumsum(hist.reshape(3, m, g), axis=2)
+    counts += below[:, :, None]
+    return _row_values(tables.count[:, None], counts[1], counts[0], counts[2])
 
 
-def _window_planned_moves(
-    tables: ThresholdTables, guesses: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """``(feasible, k_hat)`` arrays for a whole chunk of guesses.
+def _planned_moves(
+    a: np.ndarray, b: np.ndarray, large: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(feasible, k_hat)`` for each guess column of ``(m, G)`` values.
 
-    The per-guess math is :meth:`ProcessorTable.evaluate` verbatim —
-    the prefix-slice caps become ``np.minimum`` against the full-array
-    ``searchsorted``, which is equivalent because the prefixes are
-    ascending — and the Step-3 selection total (sum of the ``L_T``
-    smallest ``c_i``) comes from one axis-sort + cumsum over the
-    ``(guesses, m)`` cost matrix.  Cost: two vectorized
-    ``searchsorted`` dispatches per processor (everything else is
-    whole-matrix arithmetic) plus an ``O(G m log m)`` sort — no Python
-    work proportional to ``G``.
-
-    Returns ``(feasible, k_hat, a, b, large)``; the last three are the
-    ``(m, G)`` per-processor value matrices, whose column at the stop
-    guess finalizes the Step-3 selection.
+    The per-guess math is :func:`_finalize_evaluation`'s: the Step-3
+    selection total (sum of the ``L_T`` smallest ``c_i``) comes from one
+    axis-sort + cumsum over the ``(guesses, m)`` cost matrix.  With no
+    large job at any guess (``L_T = 0``) every guess is feasible and
+    ``k_hat`` reduces to ``sum_i b_i``, with no sort.
     """
-    procs = tables.processors
-    m = len(procs)
-    count = guesses.shape[0]
-    half = guesses / 2.0
-    half_and_full = np.concatenate((half, guesses))
-    # keeps rows default to 1 (-> 0 after the global -1): the correct
-    # "keep nothing past P_0" value for empty processors.
-    keeps = np.ones((m, 2 * count), dtype=np.int64)
-    s_cnt = np.zeros((m, count), dtype=np.int64)
-    njobs = np.zeros((m, 1), dtype=np.int64)
-    for i, proc in enumerate(procs):
-        if not proc.num_jobs:
-            continue
-        njobs[i, 0] = proc.num_jobs
-        keeps[i] = np.searchsorted(proc.prefix, half_and_full, side="right")
-        s_cnt[i] = np.searchsorted(proc.sizes_asc, half, side="right")
-    keeps -= 1
-    a = s_cnt - np.minimum(keeps[:, :count], s_cnt)
-    q = np.where(s_cnt == njobs, njobs, s_cnt + 1)
-    b = q - np.minimum(keeps[:, count:], q)
-    large = njobs - s_cnt
+    m, count = a.shape
     total_large = large.sum(axis=0)
+    if not total_large.any():
+        return np.ones(count, dtype=bool), b.sum(axis=0)
     large_procs = (large > 0).sum(axis=0)
     feasible = total_large <= m
     c_sorted = np.sort(np.ascontiguousarray((a - b).T), axis=1)
@@ -286,56 +243,74 @@ def _window_planned_moves(
         lt > 0, csum[np.arange(count), np.maximum(lt, 1) - 1], 0
     )
     k_hat = (total_large - large_procs) + b.sum(axis=0) + smallest
-    return feasible, k_hat, a, b, large
+    return feasible, k_hat
 
 
-def _start_guess(procs, indices, average_load: float) -> float:
+def _start_guess(
+    tables: ThresholdTables, average_load: float
+) -> tuple[float, np.ndarray | None]:
     """The largest threshold not exceeding ``average_load``, or the
     smallest threshold when all exceed it —
     :func:`~repro.core.thresholds.scan_start`'s clamp on the global
-    union, from three ``searchsorted`` calls per processor.
+    union, from one bisection over every row.
 
     ``2 x <= g`` iff ``x <= g / 2`` (doubling is exact), so the doubled
     streams position at ``average_load / 2`` against the undoubled
-    arrays.
+    arrays.  Returns ``(start, counts)``: when the start is the largest
+    threshold at most ``average_load``, no threshold lies in between, so
+    the per-row counts there are the counts at the start too
+    (``counts`` as :func:`_values_at` reads them); otherwise ``None``.
     """
     half = average_load / 2.0
-    best = -np.inf
-    smallest = np.inf
-    for i in indices:
-        pre = procs[i].prefix
-        sa = procs[i].sizes_asc
-        # P_0 == 0 is not a candidate: an index of 0 (or -1, for loads
-        # below zero) means no value of that stream qualifies.
-        i1 = int(np.searchsorted(pre, average_load, side="right")) - 1
-        i2 = int(np.searchsorted(pre, half, side="right")) - 1
-        i3 = int(np.searchsorted(sa, half, side="right"))
-        if i1 > 0:
-            best = max(best, float(pre[i1]))
-        if i2 > 0:
-            best = max(best, 2.0 * float(pre[i2]))
-        if i3 > 0:
-            best = max(best, 2.0 * float(sa[i3 - 1]))
-        smallest = min(smallest, float(pre[1]), 2.0 * float(sa[0]))
-    return best if best > -np.inf else smallest
+    counts = tables.count_le(prefix=(half, average_load), sizes=(half,))
+    # P_0 == 0 is not a candidate: a prefix count of 1 (or 0, for loads
+    # below zero) means no value of that stream qualifies.
+    last_half = counts[:, 0] - 1
+    last_full = counts[:, 1] - 1
+    small = counts[:, 2]
+    best = np.concatenate((
+        tables.prefix_at(last_full)[last_full > 0],
+        2.0 * tables.prefix_at(last_half)[last_half > 0],
+        2.0 * tables.sizes_at(small - 1)[small > 0],
+    ))
+    if best.shape[0]:
+        return float(best.max()), counts
+    # Every threshold exceeds the average: the smallest is a busy row's
+    # P_1 or its doubled smallest size.
+    busy = tables.count > 0
+    return float(min(
+        tables.prefix_at(1)[busy].min(), (2.0 * tables.sizes_at(0)[busy]).min()
+    )), None
 
 
-def _chunks(window_fn, procs, indices, start: float, width: float):
-    """Ascending candidate chunks: the start guess alone, then
-    successive windows ``(lo, lo + width]`` sliced by ``window_fn``,
-    each cut into geometrically growing chunks, with the width
-    quadrupling per window up to the largest threshold."""
-    yield np.asarray([start])
+def _chunks(
+    tables: ThresholdTables,
+    start: float,
+    counts: np.ndarray | None,
+    width: float,
+    small: bool,
+):
+    """Ascending candidate chunks with their ``(a, b, large)`` matrices:
+    the start guess alone (from ``counts`` when given), then successive
+    windows ``(lo, lo + width]``, each cut into geometrically growing
+    chunks, with the width quadrupling per window up to the largest
+    threshold.  In the all-small regime only the prefix stream supplies
+    candidates."""
+    guesses = np.asarray([start])
+    yield guesses, _values_at(tables, guesses, counts)
     # 2 * (full prefix sum) bounds every stream of a processor.
-    hi_cap = max(2.0 * float(procs[i].prefix[-1]) for i in indices)
+    hi_cap = 2.0 * float(tables.loads().max())
+    m = tables.num_processors
     lo = start
     while lo < hi_cap:
         hi = max(min(lo + width, hi_cap), np.nextafter(lo, np.inf))
-        window = window_fn(procs, indices, lo, hi)
+        below, values, streams = tables.window(lo, hi)
+        window = np.unique(values[streams < m] if small else values)
         chunk = _CHUNK_START
         offset = 0
         while offset < window.shape[0]:
-            yield window[offset:offset + chunk]
+            guesses = window[offset:offset + chunk]
+            yield guesses, _values_in_window(tables, guesses, below, values, streams)
             offset += chunk
             chunk *= _CHUNK_GROWTH
         lo = hi
@@ -356,37 +331,29 @@ def scan_thresholds(
     Candidates are pulled in guess-space *windows* (sized from
     ``k * mean_size / m``, the load span a ``k``-move budget can
     flatten; a miss re-slices 4x wider) and evaluated in geometrically
-    growing chunks by :func:`_window_planned_moves`, so the
-    per-candidate cost is a numpy inner loop.  A processor's values
-    change only at its own thresholds, so the evaluated column at the
-    stop guess is exactly every processor's ``(a_i, b_i, has_large_i)``
-    there, and the Step-3 selection finalizes from it.
+    growing chunks as ``(m, G)`` matrices, with no per-processor Python
+    (:func:`_values_in_window`).  A processor's values change only at
+    its own thresholds, so the evaluated column at the stop guess is
+    exactly every processor's ``(a_i, b_i, has_large_i)`` there, and the
+    Step-3 selection finalizes from it.
 
     ``tried`` counts the distinct thresholds evaluated from the start
     guess through the stop guess.  ``tables`` must hold at least one
     job.
     """
-    procs = tables.processors
-    nonempty = [i for i, proc in enumerate(procs) if proc.num_jobs]
-    start = _start_guess(procs, nonempty, average_load)
-    max_size = max(float(procs[i].sizes_asc[-1]) for i in nonempty)
-    mean_size = average_load * len(procs) / tables.instance.num_jobs
-    width = max(4.0 * k * mean_size / len(procs), 16.0 * mean_size)
+    m = tables.num_processors
+    start, counts = _start_guess(tables, average_load)
+    mean_size = average_load * m / tables.instance.num_jobs
+    width = max(4.0 * k * mean_size / m, 16.0 * mean_size)
     # All-small regime: every job is small at the start guess and stays
     # small at every larger guess, so k_hat == sum_i b_i changes only at
     # prefix-stream thresholds — values from the doubled streams can
     # never be the first feasible one.  Walk just the prefix stream.
-    small = start >= 2.0 * max_size
-    window_fn = _prefix_candidates if small else _window_candidates
+    small = start >= 2.0 * tables.max_size()
     tried = 0
-    for cands in _chunks(window_fn, procs, nonempty, start, width):
-        if small:
-            k_hats, a, b = _window_planned_moves_small(tables, cands)
-            large = np.zeros_like(a)
-            hits = np.flatnonzero(k_hats <= k)
-        else:
-            feasible, k_hats, a, b, large = _window_planned_moves(tables, cands)
-            hits = np.flatnonzero(feasible & (k_hats <= k))
+    for cands, (a, b, large) in _chunks(tables, start, counts, width, small):
+        feasible, k_hats = _planned_moves(a, b, large)
+        hits = np.flatnonzero(feasible & (k_hats <= k))
         if not hits.shape[0]:
             tried += int(cands.shape[0])
             continue
@@ -398,18 +365,17 @@ def scan_thresholds(
             # back in with one slice.
             tried = 1
             if guess > start:
-                tried += int(
-                    _window_candidates(procs, nonempty, start, guess).shape[0]
-                )
+                tried += int(_window_candidates(tables, start, guess).shape[0])
         else:
             tried += j + 1
         ev = _finalize_evaluation(
             guess, int(large[:, j].sum()), a[:, j], b[:, j], large[:, j] > 0
         )
-        assert ev.planned_moves == k_hat, (
-            f"windowed k-hat {k_hat} disagrees with the Step-3 selection "
-            f"{ev.planned_moves} at guess {guess}"
-        )
+        if ev.planned_moves != k_hat:
+            raise AssertionError(
+                f"windowed k-hat {k_hat} disagrees with the Step-3 selection "
+                f"{ev.planned_moves} at guess {guess}"
+            )
         return ev, tried
     # Unreachable for well-formed instances: the full load of the
     # heaviest processor is a threshold, and no moves are planned there.
@@ -420,103 +386,101 @@ def scan_thresholds(
 def _construct(
     instance: Instance, tables: ThresholdTables, ev: GuessEvaluation
 ) -> Assignment:
-    """Execute Steps 1 and 3–6 for an evaluated (feasible) guess."""
+    """Execute Steps 1 and 3–6 for an evaluated (feasible) guess.
+
+    Steps 1, 3 and 4 are row ranges of the tables: each processor sheds
+    Step 1's extra large jobs (all but its smallest large one), then —
+    if unselected — its kept large job, then its largest smalls (``a_i``
+    of them when selected, the rest of ``b_i`` otherwise).  The loads
+    replay each row's subtractions in that order, one
+    ``np.subtract.reduceat`` segment per row, so they round exactly as
+    subtracting job by job does.
+    """
     if not ev.feasible:
         raise ValueError(f"guess {ev.guess} is infeasible (L_T > m)")
-    guess = ev.guess
     m = instance.num_processors
+    sizes = instance.sizes
     mapping = np.array(instance.initial, dtype=np.int64)
-    # Per-processor totals already exist as the bucket prefix sums'
-    # last entries — O(m), versus the O(n) scatter-add behind
-    # ``instance.initial_loads``.
-    loads = np.fromiter(
-        (float(proc.prefix[-1]) for proc in tables.processors),
-        dtype=np.float64, count=m,
-    )
+    count = tables.count
+    s_cnt = tables.count_le(sizes=(ev.guess / 2.0,))[:, 0]
+    has_large = s_cnt < count
     sel_mask = np.zeros(m, dtype=bool)
     sel_mask[ev.selected] = True
-
-    floating_large: list[int] = []  # removed large jobs awaiting a home
-    removed_small: list[int] = []  # removed small jobs for Step 6
-    selected_has_large = np.zeros(m, dtype=bool)
-
-    for i, proc in enumerate(tables.processors):
-        s_cnt = proc.small_count(guess)
-        smalls = proc.jobs_asc[:s_cnt]
-        larges = proc.jobs_asc[s_cnt:]
-        # Step 1: keep only the smallest large job.
-        for j in larges[1:]:
-            floating_large.append(int(j))
-            loads[i] -= instance.sizes[j]
-        kept_large = int(larges[0]) if larges.size else None
-
-        if sel_mask[i]:
-            # Step 3: shed the a_i largest smalls; the large job stays.
-            a_i = int(ev.a_values[i])
-            for j in smalls[s_cnt - a_i :]:
-                removed_small.append(int(j))
-                loads[i] -= instance.sizes[j]
-            selected_has_large[i] = kept_large is not None
-        else:
-            # Step 4: shed the b_i largest jobs of the current
-            # configuration (smalls + kept large).  Largest-first
-            # removal takes the kept large job first when b_i >= 1.
-            b_i = int(ev.b_values[i])
-            if kept_large is not None:
-                # A large processor with b_i == 0 is always selected
-                # (it has a_i == 0 hence c_i == 0, and the tie-break
-                # prefers large processors), so here b_i >= 1.
-                assert b_i >= 1, "unselected large processor with b_i == 0"
-                floating_large.append(kept_large)
-                loads[i] -= instance.sizes[kept_large]
-                b_i -= 1
-            for j in smalls[s_cnt - b_i :] if b_i else smalls[:0]:
-                removed_small.append(int(j))
-                loads[i] -= instance.sizes[j]
+    # Step 4 removes largest-first, so an unselected processor's kept
+    # large job goes first.  A large processor with b_i == 0 is always
+    # selected (it has a_i == 0 hence c_i == 0, and the tie-break
+    # prefers large processors), so here b_i >= 1.
+    floats = has_large & ~sel_mask
+    if np.any(floats & (ev.b_values == 0)):
+        raise AssertionError("unselected large processor with b_i == 0")
+    shed = np.where(sel_mask, ev.a_values, ev.b_values - floats)
+    # Per row: Step 1's extra large jobs, the kept (smallest) large job
+    # when it floats, then the largest smalls — in shedding order.
+    firsts = np.stack((s_cnt + 1, s_cnt, s_cnt - shed), axis=1)
+    lengths = np.stack(
+        (np.maximum(count - s_cnt - 1, 0), floats.astype(np.int64), shed), axis=1
+    )
+    shed_jobs, shed_sizes = tables.ranges(firsts, lengths)
+    is_small = np.repeat(np.tile([False, False, True], m), lengths.reshape(-1))
+    floating_large = shed_jobs[~is_small]
+    removed_small = shed_jobs[is_small]
+    # One reduceat segment per row: its load, then the sizes it sheds.
+    per_row = lengths.sum(axis=1)
+    heads = np.arange(m, dtype=np.int64) + np.cumsum(per_row) - per_row
+    replay = np.empty(m + int(per_row.sum()))
+    shed_slot = np.ones(replay.shape[0], dtype=bool)
+    shed_slot[heads] = False
+    replay[heads] = tables.loads()
+    replay[shed_slot] = shed_sizes
+    loads = np.subtract.reduceat(replay, heads)
 
     # Steps 4b/5: route floating large jobs to distinct large-free
     # selected processors.  The counting identity L_E + (m_L - s_L) ==
     # L_T - s_L guarantees an exact fit.
-    large_free_selected = [int(i) for i in ev.selected if not selected_has_large[i]]
-    assert len(floating_large) == len(large_free_selected), (
-        f"{len(floating_large)} floating large jobs vs "
-        f"{len(large_free_selected)} large-free selected processors"
-    )
-    for j, i in zip(floating_large, large_free_selected):
-        mapping[j] = i
-        loads[i] += instance.sizes[j]
-    touched = list(floating_large)
+    large_free_selected = ev.selected[~has_large[ev.selected]]
+    if floating_large.shape[0] != large_free_selected.shape[0]:
+        raise AssertionError(
+            f"{floating_large.shape[0]} floating large jobs vs "
+            f"{large_free_selected.shape[0]} large-free selected processors"
+        )
+    mapping[floating_large] = large_free_selected
+    loads[large_free_selected] += sizes[floating_large]
 
     # Step 6: greedy min-load placement of removed small jobs.  The
     # paper allows any order; descending size (Graham/LPT style) is the
     # strongest in practice and satisfies the same bound.  Heap entries
     # carry a per-processor version counter so staleness detection does
     # not depend on float round-trip identity.
-    removed_small.sort(key=lambda j: (-instance.sizes[j], j))
+    # Python floats add exactly as float64 scalars do.
+    removed_small = removed_small[np.lexsort((removed_small, -sizes[removed_small]))]
+    load_list = loads.tolist()
     version = [0] * m
-    heap = [(float(loads[i]), 0, i) for i in range(m)]
+    heap = [(load, 0, i) for i, load in enumerate(load_list)]
     heapq.heapify(heap)
     heap_pops = 0
-    for j in removed_small:
+    homes = []
+    for size in sizes[removed_small].tolist():
         _, ver, i = heapq.heappop(heap)
         heap_pops += 1
         while ver != version[i]:
             _, ver, i = heapq.heappop(heap)  # stale entry
             heap_pops += 1
-        mapping[j] = i
-        loads[i] += instance.sizes[j]
+        homes.append(i)
+        load_list[i] += size
         version[i] += 1
-        heapq.heappush(heap, (float(loads[i]), version[i], i))
+        heapq.heappush(heap, (load_list[i], version[i], i))
     telemetry.count("heap_pops", heap_pops)
+    mapping[removed_small] = homes
+    loads = np.asarray(load_list, dtype=np.float64)
 
     # Only jobs touched above can differ from the initial assignment (a
     # removed job may be placed back on its origin at zero real cost),
     # so the actual-relocation set — and the exact loads maintained all
     # along — are known here in O(moves): hand both to ``Assignment``
     # to skip its O(n) copy/scatter-add accounting.
-    touched.extend(removed_small)
-    if touched:
-        cand = np.unique(np.asarray(touched, dtype=np.int64))
+    touched = np.concatenate((floating_large, removed_small))
+    if touched.shape[0]:
+        cand = np.unique(touched)
         moved = cand[mapping[cand] != np.asarray(instance.initial)[cand]]
     else:
         moved = np.empty(0, dtype=np.int64)

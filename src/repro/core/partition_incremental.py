@@ -37,7 +37,7 @@ from .. import telemetry
 from .assignment import Assignment
 from .fenwick import ValueMultisetFenwick
 from .instance import Instance
-from .partition import _construct, evaluate_guess
+from .partition import _construct, _values_at, evaluate_guess
 from .result import RebalanceResult
 from .thresholds import ThresholdTables, build_tables, candidate_guesses, scan_start
 
@@ -55,36 +55,27 @@ class _IncrementalState:
 
     def __init__(self, tables: ThresholdTables, start_guess: float) -> None:
         self.tables = tables
-        m = len(tables.processors)
-        self.a = np.empty(m, dtype=np.int64)
-        self.b = np.empty(m, dtype=np.int64)
-        self.c = np.empty(m, dtype=np.int64)
-        self.has_large = np.empty(m, dtype=bool)
-        self.large_counts = np.empty(m, dtype=np.int64)
-        self.sum_b = 0
+        a, b, large = _values_at(tables, np.asarray([start_guess]))
+        self.a = a[:, 0].copy()
+        self.b = b[:, 0].copy()
+        self.c = self.a - self.b
+        self.large_counts = large[:, 0].copy()
+        self.has_large = self.large_counts > 0
+        self.sum_b = int(self.b.sum())
         # c_i = a_i - b_i with a_i, b_i in [0, n_i], so a domain sized by
         # the largest bucket suffices, not [-n-1, n+1].
-        max_bucket = max((p.num_jobs for p in tables.processors), default=0)
+        max_bucket = int(tables.count.max(initial=0))
         self.fenwick = ValueMultisetFenwick(-max_bucket - 1, max_bucket + 1)
-        self.num_large_procs = 0
-        self.total_large_jobs = 0
-        for i, proc in enumerate(tables.processors):
-            a_i, b_i, large_i = proc.evaluate(start_guess)
-            self.a[i] = a_i
-            self.b[i] = b_i
-            self.c[i] = a_i - b_i
-            self.large_counts[i] = large_i
-            self.has_large[i] = large_i > 0
-            self.sum_b += b_i
-            self.fenwick.add(a_i - b_i)
-            self.num_large_procs += large_i > 0
-            self.total_large_jobs += large_i
+        for c in self.c.tolist():
+            self.fenwick.add(c)
+        self.num_large_procs = int(self.has_large.sum())
+        self.total_large_jobs = int(self.large_counts.sum())
 
     def refresh(self, proc_index: int, guess: float) -> None:
         """Recompute one processor's values at ``guess`` and patch the
         aggregates (the paper's 'constant time incremental change')."""
-        proc = self.tables.processors[proc_index]
-        new_a, new_b, new_large_count = proc.evaluate(guess)
+        _, sizes, prefix = self.tables.row(proc_index)
+        new_a, new_b, new_large_count = _evaluate_row(sizes, prefix, guess)
         new_c = new_a - new_b
         new_large = new_large_count > 0
         self.sum_b += new_b - int(self.b[proc_index])
@@ -102,8 +93,7 @@ class _IncrementalState:
     def planned_moves(self, guess: float) -> tuple[bool, int]:
         """``(feasible, k-hat)`` at ``guess`` using the aggregates."""
         total_large = self.total_large_jobs
-        m = len(self.tables.processors)
-        if total_large > m:
+        if total_large > self.tables.num_processors:
             return False, -1
         extra_large = total_large - self.num_large_procs
         k_hat = (
@@ -112,18 +102,32 @@ class _IncrementalState:
         return True, int(k_hat)
 
 
+def _evaluate_row(
+    sizes: np.ndarray, prefix: np.ndarray, guess: float
+) -> tuple[int, int, int]:
+    """``(a_i, b_i, large_count)`` of one table row at ``guess``: the
+    per-row unit of a refresh, with one shared small-count lookup."""
+    n_i = int(sizes.shape[0])
+    s_cnt = int(np.searchsorted(sizes, guess / 2.0, side="right"))
+    keep_a = int(np.searchsorted(prefix[: s_cnt + 1], guess / 2.0, side="right")) - 1
+    q = n_i if s_cnt == n_i else s_cnt + 1
+    keep_b = int(np.searchsorted(prefix[: q + 1], guess, side="right")) - 1
+    return s_cnt - keep_a, q - keep_b, n_i - s_cnt
+
+
 def _events_by_threshold(
     tables: ThresholdTables,
 ) -> dict[float, set[int]]:
     """Map each threshold value to the processors whose values can
     change there (Lemma 5's change points, attributed per processor)."""
     events: dict[float, set[int]] = defaultdict(set)
-    for i, proc in enumerate(tables.processors):
-        for size in proc.sizes_asc:
+    for i in range(tables.num_processors):
+        _, sizes, prefix = tables.row(i)
+        for size in sizes:
             events[float(2.0 * size)].add(i)  # large/small flip
-        for prefix in proc.prefix[1:]:
-            events[float(prefix)].add(i)  # b_i decrement
-            events[float(2.0 * prefix)].add(i)  # a_i decrement
+        for prefix_sum in prefix[1:]:
+            events[float(prefix_sum)].add(i)  # b_i decrement
+            events[float(2.0 * prefix_sum)].add(i)  # a_i decrement
     return dict(events)
 
 
@@ -184,10 +188,11 @@ def m_partition_rebalance_incremental(
         # Single full evaluation at the stopping threshold to apply
         # the tie-breaking selection and build the assignment.
         ev = evaluate_guess(tables, stop_guess)
-        assert ev.planned_moves == stop_k_hat, (
-            f"incremental k-hat {stop_k_hat} disagrees with the full "
-            f"evaluation {ev.planned_moves} at guess {stop_guess}"
-        )
+        if ev.planned_moves != stop_k_hat:
+            raise AssertionError(
+                f"incremental k-hat {stop_k_hat} disagrees with the full "
+                f"evaluation {ev.planned_moves} at guess {stop_guess}"
+            )
         with telemetry.span("m_partition_inc.construct"):
             assignment = _construct(instance, tables, ev)
         assignment.validate(max_moves=k)

@@ -339,11 +339,12 @@ def _realize(
             for _ in range(x[cls] - keep):
                 deficit[cls].append(p)
     for cls in range(disc.num_classes):
-        assert len(pool_by_class[cls]) == len(deficit[cls]), (
-            "large-job bookkeeping out of balance in class "
-            f"{cls}: {len(pool_by_class[cls])} pooled vs "
-            f"{len(deficit[cls])} deficit slots"
-        )
+        if len(pool_by_class[cls]) != len(deficit[cls]):
+            raise AssertionError(
+                "large-job bookkeeping out of balance in class "
+                f"{cls}: {len(pool_by_class[cls])} pooled vs "
+                f"{len(deficit[cls])} deficit slots"
+            )
         for j, p in zip(pool_by_class[cls], deficit[cls]):
             mapping[j] = p
 
@@ -360,10 +361,11 @@ def _realize(
     pool_small.sort(key=lambda j: (-instance.sizes[j], j))
     for j in pool_small:
         candidates = [p for p in range(m) if small_load[p] < allowance[p] - 1e-12]
-        assert candidates, (
-            "no processor has spare small-load allowance; the DP's "
-            "exact-V invariant was violated"
-        )
+        if not candidates:
+            raise AssertionError(
+                "no processor has spare small-load allowance; the DP's "
+                "exact-V invariant was violated"
+            )
         p = min(candidates, key=lambda q: small_load[q] - allowance[q])
         mapping[j] = p
         small_load[p] += float(instance.sizes[j])

@@ -116,7 +116,8 @@ def unit_rebalance_exact(instance: Instance, k: int) -> RebalanceResult:
             if j is None:
                 break
             mapping[j] = p
-    assert next(it, None) is None, "surplus jobs left unplaced"
+    if next(it, None) is not None:
+        raise AssertionError("surplus jobs left unplaced")
 
     assignment = Assignment(instance=instance, mapping=mapping)
     assignment.validate(max_moves=k, max_makespan=opt)

@@ -18,7 +18,6 @@ narrative the old scripts printed).
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from typing import Any, Callable
 
@@ -49,6 +48,7 @@ def _accounted(report) -> bool:
 def bench_e13(params: dict[str, Any], log: Log):
     import numpy as np
 
+    from ..analysis.experiments import best_of_pair
     from ..core import cost_partition_rebalance, ptas_rebalance
     from ..workloads import random_instance
 
@@ -71,21 +71,6 @@ def bench_e13(params: dict[str, Any], log: Log):
                                    integer_sizes=(n <= 16))
             out.append((inst, float(inst.costs.sum()) / budget_div))
         return out
-
-    def best_of_pair(ref_fn, ker_fn, cases, reps):
-        # Interleaved best-of-N strips scheduler/allocator spikes that
-        # otherwise dominate millisecond kernels on a busy host.
-        ref_best = [float("inf")] * len(cases)
-        ker_best = [float("inf")] * len(cases)
-        for _ in range(reps):
-            for i, case in enumerate(cases):
-                start = time.perf_counter()
-                ref_fn(case)
-                ref_best[i] = min(ref_best[i], time.perf_counter() - start)
-                start = time.perf_counter()
-                ker_fn(case)
-                ker_best[i] = min(ker_best[i], time.perf_counter() - start)
-        return sum(ref_best), sum(ker_best)
 
     detail: dict[str, Any] = {}
     identical = True

@@ -95,16 +95,29 @@ class TestValidation:
 
     def test_post_conditions_hold_under_optimize(self):
         # ``python -O`` strips assert statements; the solver
-        # post-conditions must still raise there.
+        # post-conditions and invariants must still raise there.
         script = textwrap.dedent("""
-            from repro.core import Assignment, Certificate, make_instance
+            import dataclasses
+            import numpy as np
+            from repro.core import (Assignment, Certificate, build_tables,
+                                    evaluate_guess, make_instance)
+            from repro.core.partition import _construct
             inst = make_instance(sizes=[4, 3, 2, 1], initial=[0, 0, 1, 1],
                                  num_processors=3)
             over = Assignment(instance=inst, mapping=[2, 2, 1, 1])  # 2 moves
             bad = Certificate(valid=False, makespan=4.0, moves=2,
                               relocation_cost=2.0, opt_lower_bound=4.0,
                               proven_ratio=1.0, violations=("x",))
-            for check in (lambda: over.validate(max_moves=0), bad.require):
+            # At guess 6 processor 0's job is large with b_0 == 0, so
+            # Step 3 must select it; selecting processor 1 instead
+            # breaks PARTITION's construction invariant.
+            pair = make_instance(sizes=[5, 1], initial=[0, 1], num_processors=2)
+            tables = build_tables(pair)
+            wrong = dataclasses.replace(
+                evaluate_guess(tables, 6.0), selected=np.array([1])
+            )
+            for check in (lambda: over.validate(max_moves=0), bad.require,
+                          lambda: _construct(pair, tables, wrong)):
                 try:
                     check()
                 except AssertionError as exc:
@@ -125,6 +138,7 @@ class TestValidation:
         assert proc.stdout.splitlines() == [
             "raised: 2 moves exceeds budget 0",
             "raised: certificate violations: ('x',)",
+            "raised: unselected large processor with b_i == 0",
         ]
 
 

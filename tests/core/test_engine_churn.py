@@ -18,7 +18,7 @@ from repro.core import rollhash
 from repro.core.engine import _merge_hints, _normalize_hint, snapshot_fingerprint
 from repro.core.instance import Instance
 from repro.core.partition import _window_candidates, scan_thresholds
-from repro.core.thresholds import patch_tables_hint, proc_candidates
+from repro.core.thresholds import candidate_guesses, patch_tables_hint
 
 from .test_threshold_scan import rescan
 
@@ -185,10 +185,9 @@ class TestPatchTablesHint:
             inst = Instance.trusted(sizes.copy(), costs.copy(), m, initial.copy())
             tables, changed_procs = patch_tables_hint(tables, inst, idx, old_initial)
             expected = build_tables(inst)
-            for pa, pe in zip(tables.processors, expected.processors):
-                assert np.array_equal(pa.jobs_asc, pe.jobs_asc)
-                assert np.array_equal(pa.sizes_asc, pe.sizes_asc)
-                assert np.array_equal(pa.prefix, pe.prefix)
+            for p in range(m):
+                for got, want in zip(tables.row(p), expected.row(p)):
+                    assert np.array_equal(got, want)
             touched = set(np.concatenate((old_initial, initial[idx])).tolist())
             assert set(changed_procs.tolist()) == touched
 
@@ -235,10 +234,18 @@ class TestScanIncremental:
         sizes, costs, initial = _random_state(rng, 60, 4, integer=True)
         inst = Instance.trusted(sizes, costs, 4, initial)
         tables = build_tables(inst)
-        for i, proc in enumerate(tables.processors):
-            expected = np.unique(proc_candidates(proc))
-            got = _window_candidates(tables.processors, [i], 0.0, np.inf)
+        for i in range(4):
+            jobs, row_sizes, prefix = tables.row(i)
+            expected = np.unique(
+                np.concatenate((prefix[1:], 2.0 * prefix[1:], 2.0 * row_sizes))
+            )
+            alone = build_tables(
+                Instance.trusted(sizes[jobs], costs[jobs], 1, np.zeros(jobs.size, np.int64))
+            )
+            got = _window_candidates(alone, 0.0, np.inf)
             assert np.array_equal(got, expected)
+        everything = _window_candidates(tables, 0.0, np.inf)
+        assert np.array_equal(everything, candidate_guesses(tables))
 
 
 class TestChurnHintDecides:

@@ -167,8 +167,8 @@ def oracle_removal_bound(instance: Instance, k: int) -> float:
 
 
 def table_arrays(tables) -> list[tuple[np.ndarray, ...]]:
-    """Every array of ``tables``, processor by processor."""
-    return [(p.jobs_asc, p.sizes_asc, p.prefix) for p in tables.processors]
+    """Every array of ``tables``, processor by processor (row views)."""
+    return [tables.row(p) for p in range(tables.num_processors)]
 
 
 def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:

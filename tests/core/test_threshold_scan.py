@@ -62,6 +62,28 @@ def scan_cases(draw, max_jobs: int = 30, max_processors: int = 6):
 # --- Oracle: the per-guess rescan the windowed scan replaced. --------------
 
 
+def small_count(sizes: np.ndarray, guess: float) -> int:
+    """Jobs of one table row of size at most ``guess / 2`` (the smalls)."""
+    return int(np.searchsorted(sizes, guess / 2.0, side="right"))
+
+
+def a_value(sizes: np.ndarray, prefix: np.ndarray, guess: float) -> int:
+    """``a_i`` of one table row: removals so its smalls total <= guess/2."""
+    s_cnt = small_count(sizes, guess)
+    keep = int(np.searchsorted(prefix[: s_cnt + 1], guess / 2.0, side="right") - 1)
+    return s_cnt - keep
+
+
+def b_value(sizes: np.ndarray, prefix: np.ndarray, guess: float) -> int:
+    """``b_i`` of one table row: removals so all smalls plus the smallest
+    large job — the first ``min(s_cnt + 1, n_i)`` jobs — total <= guess."""
+    s_cnt = small_count(sizes, guess)
+    n_i = int(sizes.shape[0])
+    q = n_i if s_cnt == n_i else s_cnt + 1
+    keep = int(np.searchsorted(prefix[: q + 1], guess, side="right") - 1)
+    return q - keep
+
+
 def rescan(instance: Instance, k: int):
     """``(evaluation, thresholds_tried, mapping)`` of the rescan: every
     processor evaluated at every threshold from the start guess on, with
@@ -77,10 +99,11 @@ def rescan(instance: Instance, k: int):
         a = np.empty(m, dtype=np.int64)
         b = np.empty(m, dtype=np.int64)
         has_large = np.empty(m, dtype=bool)
-        for i, proc in enumerate(tables.processors):
-            a[i] = proc.a_value(guess)
-            b[i] = proc.b_value(guess)
-            has_large[i] = proc.has_large(guess)
+        for i in range(m):
+            _, sizes, prefix = tables.row(i)
+            a[i] = a_value(sizes, prefix, guess)
+            b[i] = b_value(sizes, prefix, guess)
+            has_large[i] = small_count(sizes, guess) < sizes.shape[0]
         total_large = instance.num_jobs - int(
             np.searchsorted(sizes_asc, guess / 2.0, side="right")
         )

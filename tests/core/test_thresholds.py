@@ -1,12 +1,12 @@
 """Tests for threshold enumeration (Section 3.1, Lemma 5)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
-from repro.core import build_tables, candidate_guesses, make_instance
+from repro.core import build_tables, candidate_guesses, evaluate_guess, make_instance
 
 from ..conftest import small_instances
+from .test_threshold_scan import a_value, b_value, small_count
 
 
 def brute_a_value(inst, proc, guess):
@@ -43,23 +43,29 @@ def brute_b_value(inst, proc, guess):
 class TestProcessorTables:
     def test_ascending_order(self):
         inst = make_instance(sizes=[5, 1, 3], initial=[0, 0, 0], num_processors=1)
-        tables = build_tables(inst)
-        assert tables.processors[0].sizes_asc.tolist() == [1.0, 3.0, 5.0]
-        assert tables.processors[0].prefix.tolist() == [0.0, 1.0, 4.0, 9.0]
+        jobs, sizes, prefix = build_tables(inst).row(0)
+        assert jobs.tolist() == [1, 2, 0]
+        assert sizes.tolist() == [1.0, 3.0, 5.0]
+        assert prefix.tolist() == [0.0, 1.0, 4.0, 9.0]
 
     def test_small_count(self):
         inst = make_instance(sizes=[5, 1, 3], initial=[0, 0, 0], num_processors=1)
-        proc = build_tables(inst).processors[0]
-        assert proc.small_count(10.0) == 3  # threshold 5: all small
-        assert proc.small_count(6.0) == 2  # threshold 3: 5 is large
-        assert proc.small_count(2.0) == 1  # threshold 1: only job 1 small
+        tables = build_tables(inst)
+        _, sizes, _ = tables.row(0)
+        for guess, smalls in ((10.0, 3), (6.0, 2), (2.0, 1)):
+            # threshold 5: all small; 3: 5 is large; 1: only job 1 small
+            assert small_count(sizes, guess) == smalls
+            assert tables.count_le(sizes=[guess / 2.0]).tolist() == [[smalls]]
 
     def test_empty_processor(self):
         inst = make_instance(sizes=[1.0], initial=[0], num_processors=3)
         tables = build_tables(inst)
-        assert tables.processors[2].num_jobs == 0
-        assert tables.processors[2].a_value(1.0) == 0
-        assert tables.processors[2].b_value(1.0) == 0
+        _, sizes, prefix = tables.row(2)
+        assert tables.count[2] == 0 and prefix.tolist() == [0.0]
+        assert a_value(sizes, prefix, 1.0) == 0
+        assert b_value(sizes, prefix, 1.0) == 0
+        ev = evaluate_guess(tables, 1.0)
+        assert ev.a_values[2] == 0 and ev.b_values[2] == 0
 
     def test_total_large(self):
         inst = make_instance(sizes=[5, 1, 3], initial=[0, 0, 0], num_processors=1)
@@ -73,10 +79,13 @@ class TestProcessorTables:
     def test_a_b_match_definitions(self, inst):
         tables = build_tables(inst)
         for guess in candidate_guesses(tables):
+            ev = evaluate_guess(tables, guess)
             for p in range(inst.num_processors):
-                proc = tables.processors[p]
-                assert proc.a_value(guess) == brute_a_value(inst, p, guess)
-                assert proc.b_value(guess) == brute_b_value(inst, p, guess)
+                _, sizes, prefix = tables.row(p)
+                assert a_value(sizes, prefix, guess) == brute_a_value(inst, p, guess)
+                assert b_value(sizes, prefix, guess) == brute_b_value(inst, p, guess)
+                assert ev.a_values[p] == brute_a_value(inst, p, guess)
+                assert ev.b_values[p] == brute_b_value(inst, p, guess)
 
 
 class TestCandidateGuesses:
@@ -110,10 +119,11 @@ class TestCandidateGuesses:
             probes = np.linspace(lo, hi, 5)[1:-1]  # interior points
             signatures = set()
             for guess in [float(lo)] + [float(x) for x in probes]:
+                ev = evaluate_guess(tables, guess)
                 sig = (
                     tables.total_large(guess),
-                    tuple(p.a_value(guess) for p in tables.processors),
-                    tuple(p.b_value(guess) for p in tables.processors),
+                    tuple(ev.a_values.tolist()),
+                    tuple(ev.b_values.tolist()),
                 )
                 signatures.add(sig)
             assert len(signatures) == 1, (

@@ -87,10 +87,21 @@ class TestRebalanceOp:
 
     def test_concurrent_identical_requests_deduped(self, server):
         """Duplicate snapshots in flight together collapse into one
-        solve: every response is identical and at least one batch
-        reports fewer unique solves than its size."""
+        solve: every response is identical, and the engine made exactly
+        one fresh decision — batch dedupe, the response memo or the
+        engine's decision cache answered the other seven.  Counted from
+        ``status`` deltas: a memo answer carries no ``batch`` meta."""
         inst = _instance(seed=7)
         scratch = m_partition_rebalance(inst, 2)
+
+        def counts(client):
+            status = client.status()
+            engine = (status["shards"].get("default") or {}).get("engine") or {}
+            counters = status["metrics"]["counters"]
+            return (
+                engine.get("decisions", 0) - engine.get("cache_hits", 0),
+                counters.get("service.ok", 0),
+            )
 
         async def go():
             clients = [
@@ -105,11 +116,14 @@ class TestRebalanceOp:
                 for c in clients:
                     await c.close()
 
-        results = asyncio.run(go())
+        with ServiceClient(server.host, server.port) as client:
+            fresh_before, ok_before = counts(client)
+            results = asyncio.run(go())
+            fresh_after, ok_after = counts(client)
         for result in results:
             _same_decision(result, scratch)
-        batches = [r.meta["service"]["batch"] for r in results]
-        assert any(b["unique"] < b["size"] for b in batches)
+        assert ok_after - ok_before == 8
+        assert fresh_after - fresh_before == 1
 
     def test_repeated_snapshot_hits_server_decision_memo(self, server):
         """A repeated (shard, k, fingerprint) answers from the server's
