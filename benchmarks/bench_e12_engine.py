@@ -46,10 +46,22 @@ def test_e12_table(benchmark, show_report):
 
 def test_engine_beats_scratch_at_acceptance_scale():
     """n=5k sites, m=64 servers, 200 epochs: identical decisions, less
-    wall clock, and a multiple less decide time."""
+    wall clock, and a multiple less decide time.
+
+    Decides are about a tenth of a run, so with one run per policy host
+    noise decides the wall comparison; the walls compared are the best
+    of three whole runs per policy, interleaved (scratch, engine,
+    scratch, ...), and the trajectories and decide totals come from the
+    last pair.
+    """
     config = dict(num_sites=5_000, num_servers=64, epochs=200)
-    scratch, scratch_wall = _run(MPartitionPolicy(k=16), **config)
-    engine, engine_wall = _run(EngineMPartitionPolicy(k=16), **config)
+    scratch_walls, engine_walls = [], []
+    for _ in range(3):
+        scratch, wall = _run(MPartitionPolicy(k=16), **config)
+        scratch_walls.append(wall)
+        engine, wall = _run(EngineMPartitionPolicy(k=16), **config)
+        engine_walls.append(wall)
+    scratch_wall, engine_wall = min(scratch_walls), min(engine_walls)
     assert [r.makespan for r in scratch.records] == [
         r.makespan for r in engine.records
     ]

@@ -27,7 +27,6 @@ from repro.core import (
     m_partition_rebalance,
     unit_rebalance_exact,
 )
-from repro.core.partition_incremental import m_partition_rebalance_incremental
 from repro.workloads import planted_imbalance_instance
 
 N, M, K = 100_000, 128, 5_000
@@ -47,7 +46,6 @@ print(f"closed-form optimum  : {oracle.makespan:.0f}   ({t_oracle * 1e3:.0f} ms)
 for name, fn in (
     ("greedy", greedy_rebalance),
     ("m-partition", m_partition_rebalance),
-    ("m-partition-incr", m_partition_rebalance_incremental),
 ):
     t0 = time.perf_counter()
     res = fn(inst, K)

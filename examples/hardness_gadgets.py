@@ -22,7 +22,6 @@ from repro.hardness import (
     random_no_instance,
     random_yes_instance,
     reduction_from_partition,
-    solve_3dm,
     verified_no_instance,
     verify_gadget_gap,
 )

@@ -15,7 +15,6 @@ from .experiments import (
     experiment_e10_hardness,
     experiment_e11_scale_oracles,
     experiment_e12_engine,
-    experiment_e13_kernels,
     experiment_e14_service,
     experiment_e15_wire,
     experiment_e17_cluster,
@@ -24,8 +23,7 @@ from .experiments import (
 from .ablations import (
     ALL_ABLATIONS,
     ablation_a1_insert_order,
-    ablation_a2_knapsack_backend,
-    ablation_a3_scan_strategy,
+    ablation_a2_knapsack_method,
 )
 from .ratios import RatioStats, measure_ratios
 from .scaling import ScalingPoint, loglog_slope, measure_scaling
@@ -35,8 +33,7 @@ __all__ = [
     "ALL_ABLATIONS",
     "ALL_EXPERIMENTS",
     "ablation_a1_insert_order",
-    "ablation_a2_knapsack_backend",
-    "ablation_a3_scan_strategy",
+    "ablation_a2_knapsack_method",
     "ExperimentReport",
     "RatioStats",
     "ScalingPoint",
@@ -52,7 +49,6 @@ __all__ = [
     "experiment_e10_hardness",
     "experiment_e11_scale_oracles",
     "experiment_e12_engine",
-    "experiment_e13_kernels",
     "experiment_e14_service",
     "experiment_e15_wire",
     "experiment_e17_cluster",

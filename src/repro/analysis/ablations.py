@@ -1,6 +1,6 @@
 """Ablation studies for the reproduction's design choices.
 
-Three choices in this implementation are defensible either way; each
+Two choices in this implementation are defensible either way; each
 ablation quantifies the difference so DESIGN.md's choices are backed by
 data rather than taste:
 
@@ -10,10 +10,6 @@ data rather than taste:
   exactly what separates ratio ``2 - 1/m`` from much better).
 * **A2 — knapsack backend for Section 3.2**: exact DP vs FPTAS inside
   ``cost_partition_rebalance`` — solution quality, budget usage and
-  runtime.
-* **A3 — M-PARTITION scan strategy**: the windowed scan (chunks of
-  thresholds evaluated with numpy) vs the Theorem-3 per-step Fenwick
-  aggregates — identical answers (enforced), so the comparison is pure
   runtime.
 """
 
@@ -26,16 +22,13 @@ import numpy as np
 from ..core.cost_partition import cost_partition_rebalance
 from ..core.exact import exact_rebalance
 from ..core.greedy import greedy_rebalance
-from ..core.partition import m_partition_rebalance
-from ..core.partition_incremental import m_partition_rebalance_incremental
 from ..workloads.adversarial import greedy_tight_instance
 from ..workloads.generators import random_instance
 from .tables import ExperimentReport
 
 __all__ = [
     "ablation_a1_insert_order",
-    "ablation_a2_knapsack_backend",
-    "ablation_a3_scan_strategy",
+    "ablation_a2_knapsack_method",
     "ALL_ABLATIONS",
 ]
 
@@ -80,7 +73,7 @@ def ablation_a1_insert_order(
     return report
 
 
-def ablation_a2_knapsack_backend(
+def ablation_a2_knapsack_method(
     trials: int = 10, seed: int = 101
 ) -> ExperimentReport:
     """Exact-DP vs FPTAS knapsacks inside the Section-3.2 algorithm."""
@@ -126,46 +119,7 @@ def ablation_a2_knapsack_backend(
     return report
 
 
-def ablation_a3_scan_strategy(
-    sizes: tuple[int, ...] = (512, 1024, 2048, 4096),
-    m: int = 8,
-    seed: int = 102,
-) -> ExperimentReport:
-    """Windowed vs per-step Fenwick threshold scan, equal answers
-    enforced."""
-    report = ExperimentReport(
-        experiment_id="A3",
-        title="Ablation: M-PARTITION threshold scan (windowed vs per-step Fenwick)",
-        columns=("n", "windowed (ms)", "per-step Fenwick (ms)", "same answer"),
-    )
-    for n in sizes:
-        rng = np.random.default_rng(seed + n)
-        inst = random_instance(n, m, rng, placement="skewed")
-        k = max(1, n // 20)
-        start = time.perf_counter()
-        a = m_partition_rebalance(inst, k)
-        t_windowed = time.perf_counter() - start
-        start = time.perf_counter()
-        b = m_partition_rebalance_incremental(inst, k)
-        t_fenwick = time.perf_counter() - start
-        same = (
-            a.guessed_opt == b.guessed_opt
-            and a.makespan == b.makespan
-            and a.planned_moves == b.planned_moves
-        )
-        report.add_row(n, t_windowed * 1e3, t_fenwick * 1e3, same)
-    report.notes.append(
-        "identical stopping thresholds and assignments by construction; "
-        "the windowed scan evaluates chunks of thresholds with numpy and "
-        "never materializes the threshold union, while the Fenwick scan "
-        "walks the union one threshold at a time with O(log n) updates "
-        "(skewed placements make both cross many thresholds)."
-    )
-    return report
-
-
 ALL_ABLATIONS = {
     "A1": ablation_a1_insert_order,
-    "A2": ablation_a2_knapsack_backend,
-    "A3": ablation_a3_scan_strategy,
+    "A2": ablation_a2_knapsack_method,
 }

@@ -67,7 +67,6 @@ __all__ = [
     "experiment_e10_hardness",
     "experiment_e11_scale_oracles",
     "experiment_e12_engine",
-    "experiment_e13_kernels",
     "experiment_e14_service",
     "experiment_e15_wire",
     "experiment_e17_cluster",
@@ -643,154 +642,6 @@ def _engine_stats_for(
 
 
 # ----------------------------------------------------------------------
-# E13 — vectorized DP kernels + parallel sweep vs the reference paths.
-# ----------------------------------------------------------------------
-def best_of_pair(ref_fn, ker_fn, cases, reps: int) -> tuple[float, float]:
-    """Summed per-case best times of two legs, timed interleaved.
-
-    Each repetition runs every case once per leg, reference then
-    kernel, and a case keeps its fastest time per leg: interleaved
-    best-of-N strips the scheduler and allocator spikes that otherwise
-    dominate millisecond kernels on a busy host.
-    """
-    ref_best = [float("inf")] * len(cases)
-    ker_best = [float("inf")] * len(cases)
-    for _ in range(reps):
-        for i, case in enumerate(cases):
-            start = time.perf_counter()
-            ref_fn(case)
-            ref_best[i] = min(ref_best[i], time.perf_counter() - start)
-            start = time.perf_counter()
-            ker_fn(case)
-            ker_best[i] = min(ker_best[i], time.perf_counter() - start)
-    return sum(ref_best), sum(ker_best)
-
-
-def experiment_e13_kernels(
-    trials: int = 4,
-    seed: int = 13,
-    worker_counts: tuple[int, ...] = (1, 2),
-    reps: int = 5,
-) -> ExperimentReport:
-    """Kernel-vs-reference decide time for the cost/budgeted solvers.
-
-    Three cases at the E4/E5 seed sizes — the budgeted PTAS, the
-    Section-3.2 cost-partition scan, and the bare exact knapsack — each
-    run per backend over identical instances.  ``identical=True``
-    certifies the kernel returned the exact reference solution (guess,
-    planned cost, and assignment; kept set for the knapsack).  The
-    ``dp work`` column is the backend's own account of its DP effort
-    (``ptas_dp_states`` / ``knapsack_cells`` telemetry counters): the
-    reference counts every allocated cell, the kernel only the cells it
-    actually touches.  Times are :func:`best_of_pair` over ``reps``
-    interleaved repetitions.  Worker rows rerun the kernel PTAS with the
-    outer guess sweep fanned out over ``repro.parallel`` worker
-    processes, timed against the reference the same way — the
-    thresholds are identical by construction, so the row only measures
-    scheduling overhead vs parallelism on this machine.
-    """
-    from .. import telemetry as _telemetry
-    from ..core.knapsack import keep_max_cost_exact
-
-    report = ExperimentReport(
-        experiment_id="E13",
-        title="Vectorized DP kernels vs reference (decide wall clock)",
-        columns=("case", "backend", "time (s)", "speedup", "dp work",
-                 "identical"),
-    )
-    rng = np.random.default_rng(seed)
-
-    def counted(fn, cases):
-        with _telemetry.collect() as col:
-            outs = [fn(case) for case in cases]
-        return outs, dict(col.counters)
-
-    def result_key(res):
-        return (res.guessed_opt, res.planned_cost,
-                tuple(int(x) for x in res.assignment.mapping))
-
-    def compare(name, ref_fn, ker_fn, cases, work, same):
-        ref, ref_w = counted(ref_fn, cases)
-        ker, ker_w = counted(ker_fn, cases)
-        ref_s, ker_s = best_of_pair(ref_fn, ker_fn, cases, reps)
-        report.add_row(name, "reference", ref_s, 1.0, ref_w.get(work, 0), True)
-        report.add_row(name, "kernel", ker_s,
-                       ref_s / ker_s if ker_s else float("inf"),
-                       ker_w.get(work, 0),
-                       all(same(a, b) for a, b in zip(ref, ker)))
-        return ker
-
-    def key_equal(a, b):
-        return result_key(a) == result_key(b)
-
-    # Case 1: the budgeted PTAS at the E4 seed size.
-    ptas_cases = []
-    for _ in range(trials):
-        inst = random_instance(7, 3, rng, cost_family="random",
-                               integer_sizes=True)
-        ptas_cases.append((inst, float(inst.costs.sum()) / 2.0))
-    ptas_name = "E4 ptas (n=7 m=3 eps=0.75)"
-
-    def ptas_ref(c):
-        return ptas_rebalance(c[0], c[1], eps=0.75, backend="reference")
-
-    ker = compare(
-        ptas_name,
-        ptas_ref,
-        lambda c: ptas_rebalance(c[0], c[1], eps=0.75, backend="kernel"),
-        ptas_cases, "ptas_dp_states", key_equal,
-    )
-    for w in worker_counts:
-        if w <= 1:
-            continue
-
-        def ptas_par(c, w=w):
-            return ptas_rebalance(c[0], c[1], eps=0.75, backend="kernel", workers=w)
-
-        par = [ptas_par(c) for c in ptas_cases]
-        ref_s, par_s = best_of_pair(ptas_ref, ptas_par, ptas_cases, reps)
-        report.add_row(
-            ptas_name, f"kernel workers={w}", par_s,
-            ref_s / par_s if par_s else float("inf"), "-",
-            all(key_equal(a, b) for a, b in zip(ker, par)),
-        )
-
-    # Case 2: the cost-partition guess scan at the E5 upper seed size.
-    cp_cases = []
-    for t in range(trials):
-        inst = random_instance(64, 6, rng, cost_family="random")
-        cp_cases.append((inst, float(inst.costs.sum()) / 4.0))
-    compare(
-        "E5 cost-partition (n=64 m=6)",
-        lambda c: cost_partition_rebalance(c[0], c[1], backend="reference"),
-        lambda c: cost_partition_rebalance(c[0], c[1], backend="kernel"),
-        cp_cases, "knapsack_cells", key_equal,
-    )
-
-    # Case 3: the bare exact knapsack on an overloaded shape (the DP
-    # actually runs; fitting shapes exit through the all-fits shortcut).
-    ks_cases = []
-    for _ in range(trials * 12):
-        sizes = rng.integers(1, 15, 48).astype(np.float64)
-        costs = rng.integers(0, 20, 48).astype(np.float64)
-        ks_cases.append((sizes, costs, float(sizes.sum()) * 0.6))
-    compare(
-        "exact knapsack (n=48 overloaded)",
-        lambda c: keep_max_cost_exact(c[0], c[1], c[2], backend="reference"),
-        lambda c: keep_max_cost_exact(c[0], c[1], c[2], backend="kernel"),
-        ks_cases, "knapsack_cells", lambda a, b: a == b,
-    )
-
-    report.notes.append(
-        "same instances per backend; identical=True certifies byte-equal "
-        f"solutions; times are interleaved best-of-{reps} per case. Worker "
-        "rows depend on the machine's core count (process-pool overhead "
-        "dominates on a single core)."
-    )
-    return report
-
-
-# ----------------------------------------------------------------------
 # E14 — the rebalancing service: batching + admission vs naive serving.
 # ----------------------------------------------------------------------
 def _e14_run(server_config, loadgen_config):
@@ -1223,7 +1074,6 @@ ALL_EXPERIMENTS = {
     "E10": experiment_e10_hardness,
     "E11": experiment_e11_scale_oracles,
     "E12": experiment_e12_engine,
-    "E13": experiment_e13_kernels,
     "E14": experiment_e14_service,
     "E15": experiment_e15_wire,
     "E17": experiment_e17_cluster,

@@ -28,8 +28,6 @@ most ``2 * (1 + tol)`` times the optimal makespan within budget.
 
 from __future__ import annotations
 
-import math
-
 import networkx as nx
 import numpy as np
 from scipy.optimize import linprog

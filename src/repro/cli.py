@@ -32,7 +32,7 @@ SERVICE_COMMANDS = ("serve", "loadgen", "router")
 def _runnable_span() -> str:
     """Compact id summary for ``--help``, derived from the registry so
     it never goes stale: contiguous runs collapse and gaps show, as in
-    ``"E1..E15, E17, A1..A3"``."""
+    ``"E1..E12, E14..E15, E17, A1..A2"``."""
     runs: list[list] = []  # [prefix, first, last]
     for key in ALL_RUNNABLE:
         prefix = key.rstrip("0123456789")

@@ -46,18 +46,11 @@ from .partition import (
     m_partition_rebalance,
     partition_rebalance,
 )
-from .partition_incremental import m_partition_rebalance_incremental
 from .unit_jobs import unit_rebalance_exact
 from .ptas import PTASLimits, ptas_rebalance
 from .result import RebalanceResult
 from .solvers import available_algorithms, rebalance, register_algorithm
-from .thresholds import (
-    ThresholdTables,
-    build_tables,
-    candidate_guesses,
-    patch_tables,
-    scan_start,
-)
+from .thresholds import ThresholdTables, build_tables, patch_tables
 
 __all__ = [
     "Assignment",
@@ -76,7 +69,6 @@ __all__ = [
     "available_algorithms",
     "average_load_bound",
     "build_tables",
-    "candidate_guesses",
     "combined_lower_bound",
     "cost_partition_rebalance",
     "evaluate_cost_guess",
@@ -88,44 +80,15 @@ __all__ = [
     "keep_max_cost_exact",
     "keep_max_cost_fptas",
     "m_partition_rebalance",
-    "m_partition_rebalance_incremental",
     "make_instance",
     "max_job_bound",
     "milp_rebalance",
     "min_removal_cost",
     "partition_rebalance",
     "patch_tables",
-    "scan_start",
     "ptas_rebalance",
     "rebalance",
     "unit_rebalance_exact",
     "register_algorithm",
 ]
 
-
-def _register_extras() -> None:
-    """Expose the extension solvers through :func:`rebalance` dispatch."""
-
-    def _incremental(instance, k=None, budget=None, **kwargs):
-        if k is None:
-            if not instance.is_unit_cost:
-                raise ValueError("m-partition-incremental needs a move budget k")
-            k = int(budget)
-        return m_partition_rebalance_incremental(instance, k, **kwargs)
-
-    def _unit(instance, k=None, budget=None, **kwargs):
-        if k is None:
-            k = int(budget)
-        return unit_rebalance_exact(instance, k, **kwargs)
-
-    for _name, _fn in (
-        ("m-partition-incremental", _incremental),
-        ("unit-exact", _unit),
-    ):
-        try:
-            register_algorithm(_name, _fn)
-        except ValueError:
-            pass  # idempotent re-import
-
-
-_register_extras()

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance
 from .lower_bounds import combined_lower_bound
 from .result import RebalanceResult
 

@@ -68,7 +68,7 @@ class CostGuessPlan:
     total_large: int
     planned_cost: float
     selected: np.ndarray
-    plans: tuple[_ProcPlan, ...]
+    plans: tuple[_ProcPlan, ...]  # one per processor; empty if infeasible
 
 
 def _plan_a(
@@ -78,7 +78,6 @@ def _plan_a(
     knapsack_method: str,
     knapsack_eps: float,
     knapsack_resolution: int,
-    knapsack_backend: str,
 ) -> tuple[float, tuple[int, ...]]:
     """The a-plan: drop all large jobs except the most costly; knapsack
     the smalls under capacity A/2."""
@@ -101,7 +100,6 @@ def _plan_a(
     small_sol = keep_max_cost(
         small_sizes, small_costs, guess / 2.0, method=knapsack_method,
         eps=knapsack_eps, resolution=knapsack_resolution,
-        backend=knapsack_backend,
     )
     kept = set(small_sol.keep)
     for pos, j in enumerate(small_idx):
@@ -118,7 +116,6 @@ def _plan_b(
     knapsack_method: str,
     knapsack_eps: float,
     knapsack_resolution: int,
-    knapsack_backend: str,
 ) -> tuple[float, tuple[int, ...], bool, bool]:
     """The b-plan: knapsack over all jobs under capacity A.  Returns
     ``(b_cost, b_removed, has_large, b_keeps_large)``."""
@@ -127,7 +124,7 @@ def _plan_b(
     large_mask = sizes > guess / 2.0
     all_sol = keep_max_cost(
         sizes, costs, guess, method=knapsack_method, eps=knapsack_eps,
-        resolution=knapsack_resolution, backend=knapsack_backend,
+        resolution=knapsack_resolution,
     )
     kept_all = set(all_sol.keep)
     b_removed: list[int] = []
@@ -149,16 +146,15 @@ def _plan_processor(
     guess: float,
     knapsack_method: str,
     knapsack_eps: float,
-    knapsack_resolution: int = 4096,
-    knapsack_backend: str = "kernel",
+    knapsack_resolution: int,
 ) -> _ProcPlan:
     a_cost, a_removed = _plan_a(
         instance, jobs, guess, knapsack_method, knapsack_eps,
-        knapsack_resolution, knapsack_backend,
+        knapsack_resolution,
     )
     b_cost, b_removed, has_large, b_keeps_large = _plan_b(
         instance, jobs, guess, knapsack_method, knapsack_eps,
-        knapsack_resolution, knapsack_backend,
+        knapsack_resolution,
     )
     return _ProcPlan(
         a_cost=a_cost,
@@ -193,19 +189,19 @@ def evaluate_cost_guess(
     knapsack_method: str = "auto",
     knapsack_eps: float = 0.05,
     knapsack_resolution: int = 4096,
-    knapsack_backend: str = "kernel",
 ) -> CostGuessPlan:
     """Compute the per-processor plans, the Step-3 selection and the
-    total planned removal cost for one makespan guess."""
+    total planned removal cost for one makespan guess.
+
+    Knapsack work that cannot influence the decision is skipped: an
+    infeasible guess (more large jobs than processors) is rejected
+    before any per-processor planning, with no plans, and a guess with
+    no large jobs at all (common near acceptance: every guess above
+    twice the maximum job size) computes only the b-plans — the Step-3
+    selection is provably empty there, so the a-plans are never read.
+    """
     m = instance.num_processors
     total_large = int((instance.sizes > guess / 2.0).sum())
-    plans = tuple(
-        _plan_processor(
-            instance, instance.jobs_on(p), guess, knapsack_method,
-            knapsack_eps, knapsack_resolution, knapsack_backend,
-        )
-        for p in range(m)
-    )
     if total_large > m:
         return CostGuessPlan(
             guess=guess,
@@ -213,48 +209,14 @@ def evaluate_cost_guess(
             total_large=total_large,
             planned_cost=float("inf"),
             selected=np.empty(0, dtype=np.int64),
-            plans=plans,
+            plans=(),
         )
-    selected, planned = _select_and_price(plans, m, total_large)
-    return CostGuessPlan(
-        guess=guess,
-        feasible=True,
-        total_large=total_large,
-        planned_cost=planned,
-        selected=selected,
-        plans=plans,
-    )
-
-
-def _evaluate_cost_guess_lazy(
-    instance: Instance,
-    guess: float,
-    knapsack_method: str,
-    knapsack_eps: float,
-    knapsack_resolution: int,
-    knapsack_backend: str,
-) -> CostGuessPlan | None:
-    """Work-skipping evaluation for the guess scan (``backend="kernel"``).
-
-    Produces the identical :class:`CostGuessPlan` decision surface as
-    :func:`evaluate_cost_guess` while skipping knapsack work that cannot
-    influence it: an infeasible guess (more large jobs than processors)
-    is rejected *before* any per-processor planning, and a guess with no
-    large jobs at all (common near acceptance: every guess above twice
-    the maximum job size) computes only the b-plans — the Step-3
-    selection is provably empty there, so the a-plans are never read.
-    Returns ``None`` for the infeasible case.
-    """
-    m = instance.num_processors
-    total_large = int((instance.sizes > guess / 2.0).sum())
-    if total_large > m:
-        return None
     if total_large == 0:
         plans = []
         for p in range(m):
             b_cost, b_removed, has_large, b_keeps_large = _plan_b(
                 instance, instance.jobs_on(p), guess, knapsack_method,
-                knapsack_eps, knapsack_resolution, knapsack_backend,
+                knapsack_eps, knapsack_resolution,
             )
             plans.append(
                 _ProcPlan(
@@ -278,7 +240,7 @@ def _evaluate_cost_guess_lazy(
     plans = tuple(
         _plan_processor(
             instance, instance.jobs_on(p), guess, knapsack_method,
-            knapsack_eps, knapsack_resolution, knapsack_backend,
+            knapsack_eps, knapsack_resolution,
         )
         for p in range(m)
     )
@@ -360,7 +322,6 @@ def cost_partition_rebalance(
     knapsack_method: str = "auto",
     knapsack_eps: float = 0.05,
     knapsack_resolution: int = 4096,
-    backend: str = "kernel",
 ) -> RebalanceResult:
     """The Section-3.2 algorithm: 1.5-style approximation under a
     relocation-cost budget.
@@ -381,12 +342,6 @@ def cost_partition_rebalance(
     resolution tightens the plans at ``O(n * resolution)`` cost per
     knapsack; it never affects instances with integer sizes within the
     grid, which are solved exactly at any resolution.
-
-    ``backend`` selects the knapsack implementation (``"kernel"`` —
-    vectorized sweeps from :mod:`repro.core.kernels`, plus a
-    work-skipping guess scan; ``"reference"`` — the original DP and the
-    eager scan).  Both trace identical plans, so the chosen guess and
-    the final assignment are the same.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -408,28 +363,17 @@ def cost_partition_rebalance(
         t *= 1.0 + alpha
     guesses.append(ub)
 
-    if backend not in ("kernel", "reference"):
-        raise ValueError(f"unknown backend {backend!r}")
     tmark = telemetry.mark()
     tol = 1e-9 * max(1.0, budget)
     tried = 0
     for guess in guesses:
         tried += 1
         with telemetry.span("cost_partition.plan"):
-            if backend == "kernel":
-                plan = _evaluate_cost_guess_lazy(
-                    instance, guess, knapsack_method, knapsack_eps,
-                    knapsack_resolution, "kernel",
-                )
-            else:
-                plan = evaluate_cost_guess(
-                    instance, guess,
-                    knapsack_method=knapsack_method,
-                    knapsack_eps=knapsack_eps,
-                    knapsack_resolution=knapsack_resolution,
-                    knapsack_backend="reference",
-                )
-        if plan is None or not plan.feasible or plan.planned_cost > budget + tol:
+            plan = evaluate_cost_guess(
+                instance, guess, knapsack_method, knapsack_eps,
+                knapsack_resolution,
+            )
+        if not plan.feasible or plan.planned_cost > budget + tol:
             continue
         telemetry.count("guesses_tried", tried)
         with telemetry.span("cost_partition.construct"):
@@ -447,7 +391,6 @@ def cost_partition_rebalance(
                     "guesses_tried": tried,
                     "knapsack_method": knapsack_method,
                     "knapsack_resolution": knapsack_resolution,
-                    "backend": backend,
                 },
                 tmark,
             ),

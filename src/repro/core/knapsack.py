@@ -19,11 +19,26 @@ This module provides the two solvers the paper calls for:
 
 Both return the kept index set, so callers can derive the removal plan.
 
-Each solver has two interchangeable backends: ``backend="kernel"``
-(default) runs the vectorized sweep DPs in :mod:`repro.core.kernels`;
-``backend="reference"`` runs the original cell-at-a-time DPs kept here.
-The backends trace identical kept sets on every input (the differential
-tests assert this), so the switch affects speed only.
+Both DPs run as vectorized sweeps (:func:`_exact_keep_indices`,
+:func:`_fptas_keep_trace`):
+
+* one in-place ``np.add`` / comparison / ``np.maximum`` (or
+  ``np.minimum``) sweep per item over the capacity (or scaled-cost)
+  axis — no per-item allocations;
+* *reach clamping*: item ``i`` can only have changed cells up to
+  ``min(cap, sum of the first i weights)``, so early sweeps touch a
+  fraction of the axis;
+* item filtering: zero-cost items are never kept by a DP whose updates
+  are strictly improving, and oversized items never fit, so both are
+  dropped before the sweep;
+* an all-fits short cut: when every positive-cost item fits, the trace
+  provably keeps exactly the positive-cost items, so the DP is skipped
+  entirely;
+* decision rows are written in place by the comparison ops and read
+  back during backtracking.
+
+The traces are bitwise identical to the textbook cell-at-a-time DPs,
+which the test suite keeps as its oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +49,6 @@ from typing import Sequence
 import numpy as np
 
 from .. import telemetry
-from . import kernels
 
 __all__ = [
     "KnapsackSolution",
@@ -78,7 +92,7 @@ def _as_arrays(
 def _size_grid(
     s: np.ndarray, capacity: float, resolution: int
 ) -> tuple[np.ndarray, int]:
-    """Integer size grid shared by both exact-DP backends.
+    """Integer size grid of the exact DP.
 
     If sizes are small integers, use them directly with the capacity
     floored — exact, because integer sizes fit under a real capacity iff
@@ -101,36 +115,52 @@ def _size_grid(
     return np.maximum(ws, 1), cap
 
 
-def _exact_reference_trace(
-    c: np.ndarray, ws: np.ndarray, cap: int
-) -> list[int]:
-    """Original cell-at-a-time exact DP (``backend="reference"``)."""
-    n = c.size
-    telemetry.count("knapsack_cells", n * (cap + 1))
+def _exact_keep_indices(
+    s: np.ndarray, c: np.ndarray, ws: np.ndarray, cap: int
+) -> tuple[int, ...]:
+    """Kept-index trace of the exact keep-max-cost DP.
 
-    # DP over capacities: best[v] = max kept cost using first i items at
-    # total grid-size exactly <= v; choice[i][v] = keep item i at v?
-    best = np.full(cap + 1, 0.0)
-    take = np.zeros((n, cap + 1), dtype=bool)
-    for i in range(n):
-        w = int(ws[i])
-        if w > cap:
-            continue
-        cand = np.full(cap + 1, -np.inf)
-        cand[w:] = best[: cap + 1 - w] + c[i]
-        better = cand > best
-        take[i] = better
-        best = np.where(better, cand, best)
+    ``ws``/``cap`` are the integer size grid of :func:`_size_grid`; see
+    the module docstring for why the filters and the short cut leave
+    the trace unchanged.
+    """
+    active = np.flatnonzero((c > 0) & (ws <= cap))
+    if active.size == 0:
+        return ()
+    aw = ws[active]
+    ac = c[active]
+    total_w = int(aw.sum())
+    if total_w <= cap:
+        # Every positive-cost item fits: the DP's argmax lands on the
+        # minimal-weight optimum, which is exactly this set.
+        telemetry.count("knapsack_cells", active.size)
+        return tuple(int(i) for i in active)
 
-    # Trace back the kept set.
+    na = active.size
+    best = np.zeros(cap + 1)
+    take = np.zeros((na, cap + 1), dtype=bool)
+    tmp = np.empty(cap + 1)
+    reach = 0
+    cells = 0
+    aw_list = aw.tolist()
+    for t in range(na):
+        w = aw_list[t]
+        reach = min(cap, reach + w)
+        hi = reach + 1
+        np.add(best[: hi - w], ac[t], out=tmp[w:hi])
+        np.greater(tmp[w:hi], best[w:hi], out=take[t, w:hi])
+        np.maximum(best[w:hi], tmp[w:hi], out=best[w:hi])
+        cells += hi - w
+    telemetry.count("knapsack_cells", cells)
+
     keep: list[int] = []
     v = int(np.argmax(best))
-    for i in range(n - 1, -1, -1):
-        if take[i, v]:
-            keep.append(i)
-            v -= int(ws[i])
+    for t in range(na - 1, -1, -1):
+        if take[t, v]:
+            keep.append(int(active[t]))
+            v -= aw_list[t]
     keep.reverse()
-    return keep
+    return tuple(keep)
 
 
 def keep_max_cost_exact(
@@ -138,7 +168,6 @@ def keep_max_cost_exact(
     costs: Sequence[float],
     capacity: float,
     resolution: int = 4096,
-    backend: str = "kernel",
 ) -> KnapsackSolution:
     """Exact (up to size discretization) keep-max-cost knapsack.
 
@@ -160,48 +189,66 @@ def keep_max_cost_exact(
         return KnapsackSolution(keep=(), kept_cost=0.0, kept_size=0.0)
 
     ws, cap = _size_grid(s, capacity, resolution)
-    if backend == "kernel":
-        keep = list(kernels.exact_keep_indices(s, c, ws, cap))
-    elif backend == "reference":
-        keep = _exact_reference_trace(c, ws, cap)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    keep = list(_exact_keep_indices(s, c, ws, cap))
     kept_cost = float(c[keep].sum()) if keep else 0.0
     kept_size = float(s[keep].sum()) if keep else 0.0
     return KnapsackSolution(keep=tuple(keep), kept_cost=kept_cost, kept_size=kept_size)
 
 
-def _fptas_reference_trace(
-    s: np.ndarray, scaled: np.ndarray, max_total: int, capacity: float
-) -> list[int]:
-    """Original cell-at-a-time FPTAS DP (``backend="reference"``)."""
-    n = s.size
-    telemetry.count("knapsack_cells", n * (max_total + 1))
-    # min_size[v] = smallest total size achieving scaled cost exactly v.
+def _fptas_keep_trace(
+    s: np.ndarray, c: np.ndarray, scaled: np.ndarray, capacity: float
+) -> tuple[list[int], float]:
+    """DP part of the FPTAS: traced kept indices plus their total size.
+
+    ``scaled`` is the rounded cost grid; zero-scaled items are excluded
+    from the DP (the caller reinserts them greedily).  Returns
+    ``(keep, total_size)``.
+    """
+    pos = np.flatnonzero(scaled > 0)
+    if pos.size == 0:
+        return [], 0.0
+    pw = scaled[pos]
+    ps = s[pos]
+    # All-fits short cut: the only subset whose scaled cost is the full
+    # total is the whole positive set, so when its size fits, the trace
+    # returns it verbatim.
+    tot_size = 0.0
+    for x in ps:
+        tot_size += float(x)
+    if tot_size <= capacity:
+        telemetry.count("knapsack_cells", pos.size)
+        keep = [int(i) for i in pos]
+        return keep, float(s[keep].sum())
+
+    np_ = pos.size
+    max_total = int(pw.sum())
     min_size = np.full(max_total + 1, np.inf)
     min_size[0] = 0.0
-    take = np.zeros((n, max_total + 1), dtype=bool)
-    for i in range(n):
-        v = int(scaled[i])
-        if v == 0:
-            # Zero scaled cost: item only matters through its size; skip
-            # in the DP and reconsider greedily below.
-            continue
-        cand = np.full(max_total + 1, np.inf)
-        cand[v:] = min_size[: max_total + 1 - v] + s[i]
-        better = cand < min_size
-        take[i] = better
-        min_size = np.where(better, cand, min_size)
+    take = np.zeros((np_, max_total + 1), dtype=bool)
+    tmp = np.empty(max_total + 1)
+    reach = 0
+    cells = 0
+    pw_list = pw.tolist()
+    for t in range(np_):
+        v = pw_list[t]
+        reach = min(max_total, reach + v)
+        hi = reach + 1
+        np.add(min_size[: hi - v], ps[t], out=tmp[v:hi])
+        np.less(tmp[v:hi], min_size[v:hi], out=take[t, v:hi])
+        np.minimum(min_size[v:hi], tmp[v:hi], out=min_size[v:hi])
+        cells += hi - v
+    telemetry.count("knapsack_cells", cells)
 
     feasible = np.flatnonzero(min_size <= capacity)
     v = int(feasible[-1]) if feasible.size else 0
     keep: list[int] = []
-    for i in range(n - 1, -1, -1):
-        if take[i, v]:
-            keep.append(i)
-            v -= int(scaled[i])
+    for t in range(np_ - 1, -1, -1):
+        if take[t, v]:
+            keep.append(int(pos[t]))
+            v -= pw_list[t]
     keep.reverse()
-    return keep
+    total = float(s[keep].sum()) if keep else 0.0
+    return keep, total
 
 
 def keep_max_cost_fptas(
@@ -209,7 +256,6 @@ def keep_max_cost_fptas(
     costs: Sequence[float],
     capacity: float,
     eps: float = 0.1,
-    backend: str = "kernel",
 ) -> KnapsackSolution:
     """FPTAS for keep-max-cost: kept cost >= (1 - eps) * optimum.
 
@@ -232,9 +278,7 @@ def keep_max_cost_fptas(
         # ``mu`` — in the worst case until every keepable item rounds
         # to scaled cost 0, voiding the (1 - eps) guarantee (P_max in
         # the classical analysis ranges over feasible items only).
-        sub = keep_max_cost_fptas(
-            s[feasible], c[feasible], capacity, eps=eps, backend=backend
-        )
+        sub = keep_max_cost_fptas(s[feasible], c[feasible], capacity, eps=eps)
         keep_t = tuple(sorted(int(feasible[i]) for i in sub.keep))
         return KnapsackSolution(
             keep=keep_t, kept_cost=sub.kept_cost, kept_size=sub.kept_size
@@ -253,13 +297,7 @@ def keep_max_cost_fptas(
 
     mu = eps * c_max / n
     scaled = np.floor(c / mu).astype(np.int64)
-    if backend == "kernel":
-        keep, total = kernels.fptas_keep_trace(s, c, scaled, capacity)
-    elif backend == "reference":
-        keep = _fptas_reference_trace(s, scaled, int(scaled.sum()), capacity)
-        total = float(s[keep].sum()) if keep else 0.0
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    keep, total = _fptas_keep_trace(s, c, scaled, capacity)
     kept = set(keep)
     # Greedily add zero-scaled-cost items that still fit (they can only help).
     zero_items = [int(i) for i in np.flatnonzero(scaled == 0)]
@@ -283,7 +321,6 @@ def keep_max_cost(
     method: str = "auto",
     eps: float = 0.05,
     resolution: int = 4096,
-    backend: str = "kernel",
 ) -> KnapsackSolution:
     """Dispatch between the exact DP and the FPTAS.
 
@@ -292,18 +329,14 @@ def keep_max_cost(
     PTAS otherwise" guidance.
     """
     if method == "exact":
-        return keep_max_cost_exact(
-            sizes, costs, capacity, resolution=resolution, backend=backend
-        )
+        return keep_max_cost_exact(sizes, costs, capacity, resolution=resolution)
     if method == "fptas":
-        return keep_max_cost_fptas(sizes, costs, capacity, eps=eps, backend=backend)
+        return keep_max_cost_fptas(sizes, costs, capacity, eps=eps)
     if method == "auto":
         n = len(sizes)
         if n <= 64:
-            return keep_max_cost_exact(
-                sizes, costs, capacity, resolution=resolution, backend=backend
-            )
-        return keep_max_cost_fptas(sizes, costs, capacity, eps=eps, backend=backend)
+            return keep_max_cost_exact(sizes, costs, capacity, resolution=resolution)
+        return keep_max_cost_fptas(sizes, costs, capacity, eps=eps)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -250,9 +250,8 @@ def _start_guess(
     tables: ThresholdTables, average_load: float
 ) -> tuple[float, np.ndarray | None]:
     """The largest threshold not exceeding ``average_load``, or the
-    smallest threshold when all exceed it —
-    :func:`~repro.core.thresholds.scan_start`'s clamp on the global
-    union, from one bisection over every row.
+    smallest threshold when all exceed it (Section 3.1: the average load
+    never exceeds ``OPT``), from one bisection over every row.
 
     ``2 x <= g`` iff ``x <= g / 2`` (doubling is exact), so the doubled
     streams position at ``average_load / 2`` against the undoubled
@@ -324,10 +323,10 @@ def scan_thresholds(
     planning at most ``k`` moves, and the number of thresholds tried.
 
     Visits exactly the distinct threshold values ``>=`` the
-    :func:`~repro.core.thresholds.scan_start` guess, in ascending order,
-    and stops where a scan over the materialized union
-    (:func:`~repro.core.thresholds.candidate_guesses`) stops — without
-    ever building that union (an ``np.unique`` over ``3n`` values).
+    :func:`_start_guess` guess, in ascending order, and stops where a
+    scan over the materialized union of every row's thresholds stops —
+    without ever building that union (an ``np.unique`` over ``3n``
+    values).
     Candidates are pulled in guess-space *windows* (sized from
     ``k * mean_size / m``, the load span a ``k``-move budget can
     flatten; a miss re-slices 4x wider) and evaluated in geometrically

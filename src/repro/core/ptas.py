@@ -29,9 +29,26 @@ Construction, following the paper with ``delta = eps / 5``:
   processor ``M`` and adds the greedy transformation cost
   ``COST(C, C')`` (cheapest large jobs per class; small jobs in
   increasing cost-to-size ratio until the load is within
-  ``V' + delta T``).  We memoize top-down over *reachable* states only,
-  which keeps small instances tractable despite the scheme's enormous
-  worst-case polynomial.
+  ``V' + delta T``).  Only *reachable* states are visited, which keeps
+  small instances tractable despite the scheme's enormous worst-case
+  polynomial.  :func:`_layered_dp` runs it iteratively, one layer per
+  processor: states are single integers (mixed-radix over the class
+  counts plus the small-load digit), a forward pass collects each
+  layer's reachable set, and a backward pass computes exact suffix
+  costs from per-processor large-removal and small-removal edge tables
+  built once per guess.  Candidates are scanned in configuration
+  enumeration order with the small allowance descending, and only a
+  strict improvement replaces the best, so ties resolve the same way
+  as in the top-down memoized recursion the test suite keeps as its
+  oracle.
+
+* **Configuration cache** — the W-feasibility test
+  ``sum x_i l_i <= (1 + 2 delta) T`` scales linearly in the guess
+  ``T``, so the feasible large-class vectors depend only on ``delta``
+  and the class counts; :func:`_normalized_vectors` enumerates them once
+  per such signature, in units of ``T`` with a *relative* ``1e-9``
+  tolerance (an absolute one in units of the job sizes differs only for
+  configurations within ``1e-9`` of the knife edge).
 
 * **Reassignment** — removed large jobs fill per-class deficits; removed
   small jobs go, largest first, to any processor whose current small
@@ -50,11 +67,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .. import telemetry
-from . import kernels
 from .assignment import Assignment
 from .instance import Instance
 from .result import RebalanceResult
@@ -174,53 +191,10 @@ def _discretize(instance: Instance, guess: float, delta: float) -> _Discretizati
     )
 
 
-def _enumerate_large_vectors(
-    disc: _Discretization, limit: int
-) -> list[tuple[tuple[int, ...], float]]:
-    """All large-class count vectors ``x`` with ``sum x_i l_i <= W`` and
-    ``x_i <= N_i``; returns ``(x, rounded_large_load)`` pairs."""
-    out: list[tuple[tuple[int, ...], float]] = []
-    sizes = disc.class_sizes
-    counts = disc.class_counts
-    s = disc.num_classes
-
-    def rec(cls: int, current: list[int], load: float) -> None:
-        if len(out) > limit:
-            raise RuntimeError(
-                "PTAS configuration enumeration exceeded "
-                f"{limit} entries; reduce instance size or increase eps"
-            )
-        if cls == s:
-            out.append((tuple(current), load))
-            return
-        max_count = int(counts[cls])
-        x = 0
-        while x <= max_count and load + x * sizes[cls] <= disc.w_cap + 1e-9:
-            current.append(x)
-            rec(cls + 1, current, load + x * sizes[cls])
-            current.pop()
-            x += 1
-
-    rec(0, [], 0.0)
-    return out
-
-
-def _small_removal_cost(disc: _Discretization, proc: int, target: float) -> float:
-    """Greedy small-removal cost so the remaining small load on ``proc``
-    is at most ``target + unit`` (the paper's ``V' + delta * OPT``)."""
-    v = disc.small_load[proc]
-    slack = target + disc.unit
-    if v <= slack + 1e-12:
-        return 0.0
-    need = v - slack
-    prefix = disc.small_size_prefix[proc]
-    r = int(np.searchsorted(prefix, need - 1e-12, side="left"))
-    r = min(r, prefix.shape[0] - 1)
-    return float(disc.small_cost_prefix[proc][r])
-
-
 def _small_removal_set(disc: _Discretization, proc: int, target: float) -> list[int]:
-    """The jobs the greedy of :func:`_small_removal_cost` removes."""
+    """The jobs the greedy small removal takes off ``proc`` so its
+    remaining small load is at most ``target + unit`` (the paper's
+    ``V' + delta * OPT``): a prefix of its cost-to-size-ratio order."""
     v = disc.small_load[proc]
     slack = target + disc.unit
     if v <= slack + 1e-12:
@@ -232,88 +206,208 @@ def _small_removal_set(disc: _Discretization, proc: int, target: float) -> list[
     return disc.small_jobs[proc][:r]
 
 
-def _solve_dp(
-    instance: Instance, disc: _Discretization, limits: PTASLimits
+@lru_cache(maxsize=64)
+def _normalized_vectors(
+    delta: float, num_classes: int, counts: tuple[int, ...], limit: int
+) -> np.ndarray:
+    """All W-feasible large-class count vectors, in enumeration order.
+
+    Works in units of the guess ``T``: class ``i`` has normalized size
+    ``delta * (1 + delta)**(i + 1)`` against the normalized cap
+    ``1 + 2 delta``, so the result is reusable across every guess that
+    shares ``(delta, counts)`` — the per-class-count-signature cache
+    :func:`_layered_dp` relies on.
+    """
+    sizes_norm = [delta * (1.0 + delta) ** (i + 1) for i in range(num_classes)]
+    wcap_norm = 1.0 + 2.0 * delta
+    out: list[tuple[int, ...]] = []
+
+    def rec(cls: int, current: list[int], load: float) -> None:
+        if len(out) > limit:
+            raise RuntimeError(
+                "PTAS configuration enumeration exceeded "
+                f"{limit} entries; reduce instance size or increase eps"
+            )
+        if cls == num_classes:
+            out.append(tuple(current))
+            return
+        max_count = counts[cls]
+        x = 0
+        while x <= max_count and load + x * sizes_norm[cls] <= wcap_norm + 1e-9:
+            current.append(x)
+            rec(cls + 1, current, load + x * sizes_norm[cls])
+            current.pop()
+            x += 1
+
+    rec(0, [], 0.0)
+    mat = np.array(out, dtype=np.int64)
+    return mat.reshape(len(out), num_classes)
+
+
+def _layered_dp(
+    disc: _Discretization, m: int, limits: PTASLimits
 ) -> tuple[float, list[tuple[tuple[int, ...], int]]] | None:
     """Run the DP; return ``(min_cost, per-processor configs)`` or
-    ``None`` when no exact distribution of ``V`` exists."""
-    m = instance.num_processors
-    large_vectors = _enumerate_large_vectors(
-        disc, limits.max_configs_per_processor
+    ``None`` when no exact distribution of ``V`` exists.  Raises
+    ``RuntimeError`` past the resource guards in ``limits``."""
+    s_cls = disc.num_classes
+    counts = tuple(int(x) for x in disc.class_counts)
+    vec_mat = _normalized_vectors(
+        disc.delta, s_cls, counts, limits.max_configs_per_processor
     )
+    num_vecs = vec_mat.shape[0]
     unit = disc.unit
 
-    # Per (processor, large-vector) removal cost for the large classes.
-    def large_cost(proc: int, x: tuple[int, ...]) -> float:
-        total = 0.0
-        for cls in range(disc.num_classes):
-            have = len(disc.large_by_class[proc][cls])
-            keep = min(x[cls], have)
-            total += float(disc.large_cost_prefix[proc][cls][have - keep])
-        return total
+    # Per-guess rescale: loads accumulated class-ascending, left to
+    # right, as an enumeration in units of job size would sum them, so
+    # the v_max floor divisions below see the same bits.
+    loads = np.zeros(num_vecs)
+    for cls in range(s_cls):
+        loads += vec_mat[:, cls] * disc.class_sizes[cls]
+    ppc = int((disc.w_cap + 1e-9) // unit)
+    vmax_all = ((disc.w_cap - loads + 1e-9) // unit).astype(np.int64)
+    np.minimum(vmax_all, ppc, out=vmax_all)
 
-    memo: dict[tuple[int, tuple[int, ...], int], float] = {}
-    choice: dict[
-        tuple[int, tuple[int, ...], int], tuple[tuple[int, ...], int]
-    ] = {}
+    # Mixed-radix state encoding: class digits (class 0 most
+    # significant) then the small-unit digit with weight 1.
+    vn1 = disc.total_small_units + 1
+    weights = [0] * s_cls
+    w = 1
+    for cls in range(s_cls - 1, -1, -1):
+        weights[cls] = w
+        w *= counts[cls] + 1
+    vmix = (vec_mat * np.array(weights, dtype=np.int64)).sum(axis=1)
+    offsets = (vmix * vn1).tolist()
+    vmax_list = vmax_all.tolist()
+    root_mix = sum(counts[cls] * weights[cls] for cls in range(s_cls))
+    root_code = root_mix * vn1 + disc.total_small_units
 
-    def f(proc: int, n: tuple[int, ...], v_units: int) -> float:
-        if proc == m:
-            return 0.0 if (all(c == 0 for c in n) and v_units == 0) else _INF
-        key = (proc, n, v_units)
-        if key in memo:
-            return memo[key]
-        if len(memo) > limits.max_states:
+    # Per-processor edge tables: edge[p][k][v'] = large-removal cost of
+    # vector k on processor p plus the small-removal cost of allowance
+    # v' — precomputed once instead of per transition.
+    targets = np.arange(ppc + 1) * unit
+    slack = targets + unit
+    sc_mat = np.zeros((m, ppc + 1))
+    for p in range(m):
+        v_small = disc.small_load[p]
+        prefix = disc.small_size_prefix[p]
+        need = v_small - slack
+        r = np.searchsorted(prefix, need - 1e-12, side="left")
+        np.minimum(r, prefix.shape[0] - 1, out=r)
+        row = disc.small_cost_prefix[p][r]
+        row[v_small <= slack + 1e-12] = 0.0
+        sc_mat[p] = row
+    lc_mat = np.zeros((m, num_vecs))
+    for p in range(m):
+        acc = np.zeros(num_vecs)
+        for cls in range(s_cls):
+            have = len(disc.large_by_class[p][cls])
+            kept = np.minimum(vec_mat[:, cls], have)
+            acc += disc.large_cost_prefix[p][cls][have - kept]
+        lc_mat[p] = acc
+
+    # Feasible vectors per distinct class-count residue (mix code),
+    # shared across layers and small-unit digits.
+    feas_cache: dict[int, list[tuple[int, int, int]]] = {}
+    radices = [counts[cls] + 1 for cls in range(s_cls)]
+
+    def feas(mix: int) -> list[tuple[int, int, int]]:
+        got = feas_cache.get(mix)
+        if got is not None:
+            return got
+        digits = np.empty(s_cls, dtype=np.int64)
+        rem = mix
+        for cls in range(s_cls):
+            digits[cls] = rem // weights[cls]
+            rem -= digits[cls] * weights[cls]
+        ok = np.flatnonzero((vec_mat <= digits).all(axis=1))
+        entry = [(int(k), offsets[k], vmax_list[k]) for k in ok]
+        feas_cache[mix] = entry
+        return entry
+
+    # Forward pass: reachable states per layer (state dedup).
+    layers: list[list[int]] = [[root_code]]
+    seen_states = 1
+    frontier = {root_code}
+    for proc in range(m - 1):
+        absorb = (m - proc - 1) * ppc
+        nxt: set[int] = set()
+        for code in frontier:
+            mix, v = divmod(code, vn1)
+            vlo_floor = v - absorb
+            if vlo_floor < 0:
+                vlo_floor = 0
+            for _k, off, vmaxk in feas(mix):
+                vm = vmaxk if vmaxk < v else v
+                base = code - off
+                for vp in range(vlo_floor, vm + 1):
+                    nxt.add(base - vp)
+        seen_states += len(nxt)
+        if seen_states > limits.max_states:
             raise RuntimeError(
                 f"PTAS DP exceeded {limits.max_states} states; "
                 "reduce instance size or increase eps"
             )
-        best = _INF
-        best_choice: tuple[tuple[int, ...], int] | None = None
-        remaining = m - proc
-        for x, load in large_vectors:
-            if any(x[i] > n[i] for i in range(disc.num_classes)):
-                continue
-            lc = large_cost(proc, x)
-            if lc >= best:
-                continue
-            v_max = int((disc.w_cap - load + 1e-9) // unit)
-            v_max = min(v_max, v_units)
-            # The remaining processors must be able to absorb what is
-            # left of V: each can take at most floor(W / unit).
-            per_proc_cap = int((disc.w_cap + 1e-9) // unit)
-            v_min = max(0, v_units - (remaining - 1) * per_proc_cap)
-            child_n = tuple(n[i] - x[i] for i in range(disc.num_classes))
-            for v_prime in range(v_max, v_min - 1, -1):
-                cost = lc + _small_removal_cost(disc, proc, v_prime * unit)
-                if cost >= best:
-                    # Small-removal cost grows as v_prime shrinks, so
-                    # no smaller v_prime can improve on this x.
-                    break
-                sub = f(proc + 1, child_n, v_units - v_prime)
-                if cost + sub < best:
-                    best = cost + sub
-                    best_choice = (x, v_prime)
-        memo[key] = best
-        if best_choice is not None:
-            choice[key] = best_choice
-        return best
+        layers.append(sorted(nxt))
+        frontier = nxt
+    telemetry.count("ptas_dp_states", seen_states)
 
-    root_n = tuple(int(c) for c in disc.class_counts)
-    total_cost = f(0, root_n, disc.total_small_units)
-    telemetry.count("ptas_dp_states", len(memo))
+    # Backward pass: exact suffix costs; candidates in enumeration
+    # order with the allowance descending, and strict-improvement
+    # updates, so ties resolve to the first candidate in that order.
+    suffix: dict[int, float] = {0: 0.0}
+    choices: list[dict[int, tuple[int, int]]] = [dict() for _ in range(m)]
+    for proc in range(m - 1, -1, -1):
+        lc_p = lc_mat[proc].tolist()
+        edge_p = (lc_mat[proc][:, None] + sc_mat[proc][None, :]).tolist()
+        absorb = (m - proc - 1) * ppc
+        cur: dict[int, float] = {}
+        choice_p = choices[proc]
+        nxt_get = suffix.get
+        for code in layers[proc]:
+            mix, v = divmod(code, vn1)
+            vlo = v - absorb
+            if vlo < 0:
+                vlo = 0
+            best = _INF
+            best_k = -1
+            best_vp = -1
+            for k, off, vmaxk in feas(mix):
+                lc = lc_p[k]
+                if lc >= best:
+                    continue
+                erow = edge_p[k]
+                vm = vmaxk if vmaxk < v else v
+                base = code - off
+                for vp in range(vm, vlo - 1, -1):
+                    cost = erow[vp]
+                    if cost >= best:
+                        # Small-removal cost grows as the allowance
+                        # shrinks; no smaller vp can improve on this k.
+                        break
+                    sub = nxt_get(base - vp)
+                    if sub is None:
+                        continue
+                    total = cost + sub
+                    if total < best:
+                        best = total
+                        best_k = k
+                        best_vp = vp
+            if best_k >= 0:
+                cur[code] = best
+                choice_p[code] = (best_k, best_vp)
+        suffix = cur
+
+    total_cost = suffix.get(root_code, _INF)
     if not math.isfinite(total_cost):
         return None
 
-    # Walk the choices to extract each processor's configuration.
     configs: list[tuple[tuple[int, ...], int]] = []
-    n = root_n
-    v = disc.total_small_units
+    code = root_code
     for proc in range(m):
-        x, v_prime = choice[(proc, n, v)]
-        configs.append((x, v_prime))
-        n = tuple(n[i] - x[i] for i in range(disc.num_classes))
-        v -= v_prime
+        k, vp = choices[proc][code]
+        configs.append((tuple(int(x) for x in vec_mat[k]), vp))
+        code = code - offsets[k] - vp
     return total_cost, configs
 
 
@@ -373,32 +467,11 @@ def _realize(
     return Assignment(instance=instance, mapping=mapping)
 
 
-def _evaluate_guess(
-    payload: tuple[Instance, float, float, PTASLimits, str],
-) -> tuple[float, list[tuple[tuple[int, ...], int]]] | None:
-    """Discretize and solve one outer guess ``T``.
-
-    Module-level (and fed a single picklable payload) so the parallel
-    sweep runner can fan guesses out across worker processes.
-    """
-    instance, guess, delta, limits, backend = payload
-    with telemetry.span("ptas.discretize"):
-        disc = _discretize(instance, guess, delta)
-    with telemetry.span("ptas.dp"):
-        if backend == "kernel":
-            return kernels.solve_ptas_dp(disc, instance.num_processors, limits)
-        if backend == "reference":
-            return _solve_dp(instance, disc, limits)
-        raise ValueError(f"unknown backend {backend!r}")
-
-
 def ptas_rebalance(
     instance: Instance,
     budget: float,
     eps: float = 0.5,
     limits: PTASLimits | None = None,
-    backend: str = "kernel",
-    workers: int = 1,
 ) -> RebalanceResult:
     """Run the Section-4 PTAS with cost budget ``B = budget``.
 
@@ -412,15 +485,6 @@ def ptas_rebalance(
     classes is ``ceil(log_{1+delta}(1/delta))`` with ``delta = eps/6``,
     and the DP is exponential in that count.  Values below roughly
     ``0.75`` are only practical for very small instances.
-
-    ``backend`` selects the configuration-DP implementation:
-    ``"kernel"`` (default) is the iterative layered DP in
-    :mod:`repro.core.kernels`, ``"reference"`` the original recursive
-    memo DP — both return identical costs and configurations.
-    ``workers > 1`` fans the independent outer guesses out over that
-    many worker processes; the chunked in-order scan accepts exactly
-    the guess the serial scan would, so the chosen threshold (and hence
-    the result) is identical.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -448,31 +512,15 @@ def ptas_rebalance(
 
     tmark = telemetry.mark()
     tol = 1e-9 * max(1.0, budget)
-
-    def admissible(solved) -> bool:
-        return solved is not None and solved[0] <= budget + tol
-
-    payloads = [(instance, guess, delta, limits, backend) for guess in guesses]
-    if workers > 1:
-        from .. import parallel
-
-        hit = parallel.run_until(
-            _evaluate_guess, payloads, admissible, workers=workers
-        )
-        scan = [] if hit is None else [hit]
-    else:
-        hit = None
-        scan = (
-            (i, _evaluate_guess(payloads[i])) for i in range(len(guesses))
-        )
-    for idx, solved in scan:
-        if not admissible(solved):
+    for tried, guess in enumerate(guesses, start=1):
+        with telemetry.span("ptas.discretize"):
+            disc = _discretize(instance, guess, delta)
+        with telemetry.span("ptas.dp"):
+            solved = _layered_dp(disc, instance.num_processors, limits)
+        if solved is None or solved[0] > budget + tol:
             continue
-        guess = guesses[idx]
-        tried = idx + 1
         cost, configs = solved
         telemetry.count("guesses_tried", tried)
-        disc = _discretize(instance, guess, delta)
         with telemetry.span("ptas.realize"):
             assignment = _realize(instance, disc, configs)
         if assignment.relocation_cost > budget + tol:
@@ -490,7 +538,6 @@ def ptas_rebalance(
                     "delta": delta,
                     "num_classes": disc.num_classes,
                     "guesses_tried": tried,
-                    "backend": backend,
                 },
                 tmark,
             ),

@@ -24,6 +24,7 @@ from .instance import Instance
 from .partition import m_partition_rebalance
 from .ptas import ptas_rebalance
 from .result import RebalanceResult
+from .unit_jobs import unit_rebalance_exact
 
 __all__ = ["rebalance", "available_algorithms", "register_algorithm"]
 
@@ -45,7 +46,7 @@ def register_algorithm(name: str, fn: Callable[..., RebalanceResult]) -> None:
 def available_algorithms() -> tuple[str, ...]:
     """Names accepted by :func:`rebalance`, sorted."""
     return tuple(sorted(set(_REGISTRY) | {"greedy", "m-partition", "cost-partition",
-                                          "ptas", "exact"}))
+                                          "ptas", "exact", "unit-exact"}))
 
 
 def _normalize_budgets(
@@ -70,8 +71,8 @@ def rebalance(
     """Run ``algorithm`` on ``instance`` under the given budget.
 
     Built-in algorithm names: ``"greedy"``, ``"m-partition"``,
-    ``"cost-partition"``, ``"ptas"``, ``"exact"``; baseline packages
-    register more (see :func:`register_algorithm` and
+    ``"cost-partition"``, ``"ptas"``, ``"exact"``, ``"unit-exact"``;
+    baseline packages register more (see :func:`register_algorithm` and
     :mod:`repro.baselines`).
     """
     k, budget = _normalize_budgets(instance, k, budget)
@@ -105,6 +106,11 @@ def rebalance(
 
     if algorithm == "exact":
         return exact_rebalance(instance, k=k, budget=budget, **kwargs)
+
+    if algorithm == "unit-exact":
+        if k is None:
+            k = int(budget)  # type: ignore[arg-type]
+        return unit_rebalance_exact(instance, k, **kwargs)
 
     if algorithm in _REGISTRY:
         return _REGISTRY[algorithm](instance, k=k, budget=budget, **kwargs)

@@ -44,12 +44,10 @@ from .instance import Instance
 __all__ = [
     "ThresholdTables",
     "build_tables",
-    "candidate_guesses",
     "patch_tables",
     "patch_tables_hint",
     "processor_view",
     "row_ranges",
-    "scan_start",
 ]
 
 # Free slots per row beyond its jobs and the leading zero prefix sum:
@@ -556,37 +554,3 @@ def patch_tables_hint(
             tail_sizes[0] += prefix[s + q]
             np.cumsum(tail_sizes, out=prefix[s + q + 1:s + new_count + 1])
     return tables, changed_procs
-
-
-def scan_start(candidates: np.ndarray, average_load: float) -> int:
-    """Index of the largest threshold not exceeding ``average_load``.
-
-    This is M-PARTITION's starting guess (Section 3.1: the average load
-    never exceeds ``OPT``).  The result is clamped into
-    ``[0, len(candidates) - 1]`` so the scan always starts on a real
-    threshold: when every candidate exceeds the average the scan starts
-    at the smallest one, and when the average exceeds every candidate
-    (only possible through float round-off — the heaviest processor's
-    full load is itself a candidate and bounds the average from above)
-    the scan starts at the largest one instead of indexing past the end.
-    The windowed scan (:func:`repro.core.partition.scan_thresholds`)
-    derives the same start from the table rows without the global
-    union; the Fenwick scan and the tests use this helper.
-    """
-    if candidates.shape[0] == 0:
-        return 0
-    start = int(np.searchsorted(candidates, average_load, side="right")) - 1
-    return min(max(start, 0), int(candidates.shape[0]) - 1)
-
-
-def candidate_guesses(tables: ThresholdTables) -> np.ndarray:
-    """All threshold values for the guess ``A``, sorted ascending.
-
-    Per Lemma 5 the tuple ``(L_T, a_1..a_m, b_1..b_m)`` is constant for
-    ``A`` between consecutive values of this set, so M-PARTITION only
-    ever needs to try these ``O(n)`` guesses.
-    """
-    first = tables.start[:-1]
-    sizes = tables.values[0, row_ranges(first, tables.count)]
-    prefix = tables.values[1, row_ranges(first + 1, tables.count)]
-    return np.unique(np.concatenate((2.0 * sizes, prefix, 2.0 * prefix)))

@@ -12,7 +12,6 @@ no-instances for the hardness experiments (E10).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 

@@ -1,7 +1,7 @@
 """Deterministic process-pool sweep runner.
 
-The experiments, benchmarks, and outer guess searches in this repo are
-all *embarrassingly parallel sweeps*: apply one picklable function to a
+The experiments and benchmarks in this repo are mostly
+*embarrassingly parallel sweeps*: apply one picklable function to a
 list of independent items.  This module gives them a single fan-out API
 with the three properties the reproduction needs:
 
@@ -16,12 +16,8 @@ with the three properties the reproduction needs:
   on the calling thread with zero pool overhead, which keeps the
   parallel path an opt-in strictly-faster variant of the serial one.
 
-:func:`run_until` layers an early-exit scan on top: items are evaluated
-in chunks, in order, and the first item (by input position) whose
-result satisfies the predicate wins.  Later items may be evaluated
-speculatively — wasted work, never a different answer — which is
-exactly the contract the PTAS outer guess search needs to parallelize
-while returning the identical threshold to the serial scan.
+:func:`spawn_piped_process` starts the long-lived worker processes of
+the sharded router's data plane.
 """
 
 from __future__ import annotations
@@ -29,14 +25,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from . import telemetry
 
 __all__ = [
     "default_workers",
     "run_sweep",
-    "run_until",
     "spawn_piped_process",
 ]
 
@@ -127,49 +122,3 @@ def spawn_piped_process(target, *args, daemon: bool = True):
     child.close()
     return proc, parent
 
-
-def run_until(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    accept: Callable[[Any], bool],
-    *,
-    workers: int | None = None,
-    chunk: int | None = None,
-) -> tuple[int, Any] | None:
-    """Ordered early-exit scan: first item whose result is accepted.
-
-    Evaluates ``items`` in chunks of ``chunk`` (default: one chunk per
-    worker batch), in input order within and across chunks, and returns
-    ``(index, result)`` for the smallest index whose result satisfies
-    ``accept`` — the same pair a serial left-to-right scan would return
-    — or ``None`` when nothing is accepted.  With ``workers <= 1`` the
-    scan degrades to exactly that serial loop, evaluating nothing past
-    the hit.
-    """
-    items = list(items)
-    if workers is None:
-        workers = default_workers()
-    if workers <= 1:
-        for idx, item in enumerate(items):
-            result = fn(item)
-            if accept(result):
-                return idx, result
-        return None
-
-    if chunk is None:
-        chunk = 2 * workers
-    with_tel = telemetry.enabled()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, len(items), chunk):
-            batch = items[start : start + chunk]
-            payloads = [
-                (fn, start + j, item, with_tel) for j, item in enumerate(batch)
-            ]
-            outs: list[Any] = [None] * len(batch)
-            for idx, out, tel in pool.map(_call_collected, payloads):
-                outs[idx - start] = out
-                _merge_worker_telemetry(tel)
-            for j, result in enumerate(outs):
-                if accept(result):
-                    return start + j, result
-    return None

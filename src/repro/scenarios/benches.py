@@ -43,85 +43,6 @@ def _accounted(report) -> bool:
 
 
 # ----------------------------------------------------------------------
-# E13 — kernel backends vs reference DPs.
-# ----------------------------------------------------------------------
-def bench_e13(params: dict[str, Any], log: Log):
-    import numpy as np
-
-    from ..analysis.experiments import best_of_pair
-    from ..core import cost_partition_rebalance, ptas_rebalance
-    from ..workloads import random_instance
-
-    trials = params.get("trials", 4)
-    eps = params.get("eps", 0.75)
-    ptas_seed = params.get("ptas_seed", 13)
-    cost_seed = params.get("cost_seed", 8)
-    ptas_reps = params.get("ptas_reps", 3)
-    cost_reps = params.get("cost_reps", 12)
-
-    def key(res):
-        return (res.guessed_opt, res.planned_cost,
-                tuple(int(x) for x in res.assignment.mapping))
-
-    def cases_for(n, m, seed, budget_div):
-        rng = np.random.default_rng(seed)
-        out = []
-        for _ in range(trials):
-            inst = random_instance(n, m, rng, cost_family="random",
-                                   integer_sizes=(n <= 16))
-            out.append((inst, float(inst.costs.sum()) / budget_div))
-        return out
-
-    detail: dict[str, Any] = {}
-    identical = True
-
-    cases = cases_for(7, 3, ptas_seed, 2.0)
-    ref_out = [ptas_rebalance(i, b, eps=eps, backend="reference")
-               for i, b in cases]
-    ker_out = [ptas_rebalance(i, b, eps=eps, backend="kernel")
-               for i, b in cases]
-    identical &= [key(r) for r in ref_out] == [key(r) for r in ker_out]
-    ref_s, ker_s = best_of_pair(
-        lambda c: ptas_rebalance(c[0], c[1], eps=eps, backend="reference"),
-        lambda c: ptas_rebalance(c[0], c[1], eps=eps, backend="kernel"),
-        cases, reps=ptas_reps,
-    )
-    ptas_speedup = ref_s / ker_s if ker_s else float("inf")
-    detail["e4_ptas"] = {
-        "n": 7, "m": 3, "eps": eps, "trials": len(cases),
-        "reference_s": ref_s, "kernel_s": ker_s, "speedup": ptas_speedup,
-    }
-    log(f"[E13] e4_ptas: {ref_s * 1e3:.2f}ms -> {ker_s * 1e3:.2f}ms "
-        f"({ptas_speedup:.2f}x)")
-
-    cases = cases_for(64, 6, cost_seed, 4.0)
-    ref_out = [cost_partition_rebalance(i, b, backend="reference")
-               for i, b in cases]
-    ker_out = [cost_partition_rebalance(i, b, backend="kernel")
-               for i, b in cases]
-    identical &= [key(r) for r in ref_out] == [key(r) for r in ker_out]
-    ref_s, ker_s = best_of_pair(
-        lambda c: cost_partition_rebalance(c[0], c[1], backend="reference"),
-        lambda c: cost_partition_rebalance(c[0], c[1], backend="kernel"),
-        cases, reps=cost_reps,
-    )
-    cost_speedup = ref_s / ker_s if ker_s else float("inf")
-    detail["e5_cost_partition"] = {
-        "n": 64, "m": 6, "trials": len(cases),
-        "reference_s": ref_s, "kernel_s": ker_s, "speedup": cost_speedup,
-    }
-    log(f"[E13] e5_cost_partition: {ref_s * 1e3:.2f}ms -> "
-        f"{ker_s * 1e3:.2f}ms ({cost_speedup:.2f}x)")
-
-    metrics = {
-        "e4_ptas_speedup": ptas_speedup,
-        "e5_cost_partition_speedup": cost_speedup,
-        "solutions_identical": bool(identical),
-    }
-    return metrics, detail
-
-
-# ----------------------------------------------------------------------
 # E14 — batched vs naive serving.
 # ----------------------------------------------------------------------
 def bench_e14(params: dict[str, Any], log: Log):
@@ -1054,7 +975,6 @@ def bench_e19(params: dict[str, Any], log: Log):
 
 
 BENCH_RUNNERS: dict[str, Callable[[dict, Log], tuple[dict, dict]]] = {
-    "e13-kernels": bench_e13,
     "e14-service": bench_e14,
     "e15-wire": bench_e15,
     "e17-cluster": bench_e17,

@@ -1,14 +1,14 @@
 """The ScenarioCatalog: every reproducible result as a declarative config.
 
-One :class:`~repro.scenarios.spec.Scenario` per experiment (E1–E15 and
-E17–E19; E16 is retired) and ablation (A1–A3), each composing the three
+One :class:`~repro.scenarios.spec.Scenario` per experiment (E1–E12,
+E14, E15 and E17–E19; E13 and E16 are retired) and ablation (A1, A2;
+A3 is retired), each composing the three
 axes — workload (what the instances are), traffic (how load evolves and
 arrives), transport (what decides and how bytes move) — with
 tier-resolved parameters, machine-readable acceptance checks and a
 drift policy.  ``python -m repro
 reproduce`` is a pure interpreter over this table: adding a scenario
-here (a vector-load family, a stochastic-size family, a router HA
-drill) is the *entire* cost of making it reproducible, checkable and
+here is the *entire* cost of making it reproducible, checkable and
 CI-gated.
 
 Conventions:
@@ -57,7 +57,7 @@ _SCENARIOS = (
         title="GREEDY approximation ratio (Theorem 1: tight 2 - 1/m)",
         workload=WorkloadAxis(family="tightness+random", costs="unit"),
         traffic=TrafficAxis(kind="none", arrival="one-shot"),
-        transport=TransportAxis(solver="greedy", backend="kernel"),
+        transport=TransportAxis(solver="greedy"),
         table="E1",
         acceptance=(Check("table.all:within", "truthy"),),
         drift=_exact_table("family", "m", "measured ratio", "bound 2-1/m",
@@ -69,7 +69,7 @@ _SCENARIOS = (
         title="(M-)PARTITION approximation ratio (Theorems 2-3: tight 1.5)",
         workload=WorkloadAxis(family="tightness+random", costs="unit"),
         traffic=TrafficAxis(kind="none", arrival="one-shot"),
-        transport=TransportAxis(solver="partition", backend="kernel"),
+        transport=TransportAxis(solver="partition"),
         table="E2",
         acceptance=(Check("table.all:within", "truthy"),),
         drift=_exact_table("family", "algorithm", "worst ratio", "bound",
@@ -90,7 +90,7 @@ _SCENARIOS = (
         title="PTAS ratio vs eps (Theorem 4)",
         workload=WorkloadAxis(family="random", costs="random"),
         traffic=TrafficAxis(kind="none", arrival="one-shot"),
-        transport=TransportAxis(solver="ptas", backend="kernel"),
+        transport=TransportAxis(solver="ptas"),
         table="E4",
         acceptance=(Check("table.all:budget ok", "truthy"),),
         drift=_exact_table("eps", "bound 1+eps", "mean ratio", "worst ratio",
@@ -168,7 +168,7 @@ _SCENARIOS = (
         title="Theorem bounds at oracle scale (n up to 50k)",
         workload=WorkloadAxis(family="unit+two-point", costs="unit"),
         traffic=TrafficAxis(kind="none", arrival="one-shot"),
-        transport=TransportAxis(solver="suite", backend="kernel"),
+        transport=TransportAxis(solver="suite"),
         table="E11",
         acceptance=(Check("table.all:certified", "truthy"),),
         drift=_exact_table("oracle", "n", "m", "algorithm",
@@ -192,27 +192,6 @@ _SCENARIOS = (
     # tiers).  The bench params at ci tier are exactly what the old
     # per-script CI ran.
     # ------------------------------------------------------------------
-    Scenario(
-        scenario_id="E13",
-        title="Vectorized DP kernels vs reference paths",
-        workload=WorkloadAxis(family="random", costs="random"),
-        traffic=TrafficAxis(kind="none", arrival="one-shot"),
-        transport=TransportAxis(backend="both"),
-        table="E13",
-        table_tiers=_SERVICE_BENCH_TABLE_TIERS,
-        bench="e13-kernels",
-        bench_json="BENCH_e13.json",
-        acceptance=(
-            Check("solutions_identical", "truthy"),
-            Check("e4_ptas_speedup", ">=", 3.0),
-            Check("e5_cost_partition_speedup", ">=", 3.0),
-        ),
-        drift=DriftPolicy(
-            exact=("solutions_identical",),
-            band={"e4_ptas_speedup": 3.0, "e5_cost_partition_speedup": 3.0},
-            table_exact_columns=("case", "backend", "identical"),
-        ),
-    ),
     Scenario(
         scenario_id="E14",
         title="Serving the solver: batched asyncio service vs naive",
@@ -431,22 +410,11 @@ _SCENARIOS = (
         title="Ablation: Section 3.2 knapsack backend (exact DP vs FPTAS)",
         workload=WorkloadAxis(family="random", costs="random"),
         traffic=TrafficAxis(kind="none", arrival="one-shot"),
-        transport=TransportAxis(solver="cost-partition", backend="both"),
+        transport=TransportAxis(solver="cost-partition"),
         table="A2",
         acceptance=(Check("table.all:budget ok", "truthy"),),
         drift=_exact_table("backend", "mean ratio", "worst ratio",
                            "budget ok"),
-    ),
-    Scenario(
-        scenario_id="A3",
-        title="Ablation: M-PARTITION threshold scan (windowed vs per-step "
-              "Fenwick)",
-        workload=WorkloadAxis(family="random", costs="unit"),
-        traffic=TrafficAxis(kind="none", arrival="one-shot"),
-        transport=TransportAxis(solver="m-partition"),
-        table="A3",
-        acceptance=(Check("table.all:same answer", "truthy"),),
-        drift=_exact_table("n", "same answer"),
     ),
 )
 

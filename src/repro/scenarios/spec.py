@@ -1,12 +1,11 @@
 """Declarative scenario specs: the axes a scenario composes.
 
 A scenario is a *configuration*, not a script: a workload axis (what
-instances look like — sizes, costs, churn, dimensionality,
-stochasticity), a traffic axis (how they evolve and arrive — steady,
-diurnal drift, flash crowds, churn streams, failure injection), and a
-solver/transport axis (what decides and how the bytes move — solver
-family, DP backend, engine mode, wire protocol, executor, router fan-
-out).  The catalog (:mod:`repro.scenarios.catalog`) instantiates one
+instances look like — sizes, costs, churn), a traffic axis (how they
+evolve and arrive — steady, diurnal drift, flash crowds, churn streams,
+failure injection), and a solver/transport axis (what decides and how
+the bytes move — solver family, engine mode, wire protocol, executor,
+router fan-out).  The catalog (:mod:`repro.scenarios.catalog`) instantiates one
 :class:`Scenario` per experiment; the runner
 (:mod:`repro.scenarios.runner`) turns a scenario plus a *tier* into a
 schema-versioned record with machine-readable acceptance assertions;
@@ -45,11 +44,7 @@ class WorkloadAxis:
     "planted", "unit", "gadget", "websim-cluster", "calibrated",
     "zipf-churn"); ``calibration`` optionally names an entry in
     :data:`repro.service.loadgen.CALIBRATIONS` for workloads whose
-    size is pinned to host speed rather than fixed.  ``dims`` and
-    ``stochastic`` are forward-declared axes for the vector-load and
-    stochastic-size scenarios the ROADMAP plans — today every scenario
-    runs ``dims=1, stochastic=False``, and the fields exist so those
-    follow-ons are a new catalog entry, not a new subsystem.
+    size is pinned to host speed rather than fixed.
     """
 
     family: str
@@ -59,8 +54,6 @@ class WorkloadAxis:
     seed: int | None = None
     sizes: str = "mixed"
     costs: str = "unit"
-    dims: int = 1
-    stochastic: bool = False
     calibration: str | None = None
 
 
@@ -73,15 +66,13 @@ class TrafficAxis:
     "paced-churn"); ``arrival`` distinguishes closed-loop epoch walks
     from the open-loop generator; ``failure`` names an injected fault
     ("kill9@midrun" arms a SIGKILL of a backend halfway through the
-    window); ``autoscale`` marks scenarios that grow/shrink the server
-    fleet mid-run (none yet — the router HA follow-on's slot).
+    window).
     """
 
     kind: str = "none"
     arrival: str = "epoch-loop"  # "epoch-loop" | "open-loop" | "paced"
     epochs: int | None = None
     failure: str | None = None
-    autoscale: bool = False
 
 
 @dataclass(frozen=True)
@@ -89,7 +80,6 @@ class TransportAxis:
     """What decides and how the bytes move."""
 
     solver: str = "m-partition"
-    backend: str = "kernel"      # DP backend: "kernel" | "reference" | "both"
     engine: str = "scratch"      # "scratch" | "warm" | "incremental" | "both"
     wire: str = "none"           # "none" | "v1" | "v2" | "v2+delta" | "both"
     executor: str = "inline"     # "inline" | "thread"
@@ -198,7 +188,7 @@ class Scenario:
     E-table this scenario regenerates); ``bench`` names an acceptance
     runner in :data:`repro.scenarios.benches.BENCH_RUNNERS` (the
     BENCH_* record it regenerates).  Either may be absent; E1–E12 are
-    table-only, E18 is bench-only, E13–E17 produce both.
+    table-only, E18 is bench-only, E14–E17 produce both.
 
     ``params`` holds the base keyword arguments per namespace
     (``{"table": {...}, "bench": {...}}``); ``tiers`` overlays
@@ -243,7 +233,7 @@ class Scenario:
     def runs_table(self, tier: str) -> bool:
         """Whether this scenario regenerates its E-table at ``tier``.
 
-        Service-heavy tables (E13–E17) run only in the ``full`` tier;
+        Service-heavy tables (E14–E17) run only in the ``full`` tier;
         their invariants are covered at ``ci`` scale by the bench
         runner, which is what the old CI executed.
         """

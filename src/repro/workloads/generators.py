@@ -6,8 +6,6 @@ Every generator routes randomness through a caller-supplied
 
 from __future__ import annotations
 
-from typing import Literal
-
 import numpy as np
 
 from ..core.instance import Instance

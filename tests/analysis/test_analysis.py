@@ -1,8 +1,5 @@
 """Tests for the analysis harness: tables, ratios, scaling, experiments."""
 
-import time
-
-import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -200,8 +197,8 @@ class TestCLI:
     def test_help_span_shows_registry_gaps(self):
         from repro.cli import _runnable_span
 
-        # E16 is retired: the span must not advertise it as runnable.
-        assert _runnable_span() == "E1..E15, E17, A1..A3"
+        # E13, E16 and A3 are retired: the span must not advertise them.
+        assert _runnable_span() == "E1..E12, E14..E15, E17, A1..A2"
 
 
 class TestScaleAndAblations:
@@ -219,15 +216,9 @@ class TestScaleAndAblations:
         assert tight["ascending"] == max(tight.values())
 
     def test_a2(self):
-        from repro.analysis import ablation_a2_knapsack_backend
+        from repro.analysis import ablation_a2_knapsack_method
 
-        report = ablation_a2_knapsack_backend(trials=3)
-        assert all(row[-1] for row in report.rows)
-
-    def test_a3(self):
-        from repro.analysis import ablation_a3_scan_strategy
-
-        report = ablation_a3_scan_strategy(sizes=(128, 256), m=4)
+        report = ablation_a2_knapsack_method(trials=3)
         assert all(row[-1] for row in report.rows)
 
     def test_cli_runs_ablation(self, capsys):

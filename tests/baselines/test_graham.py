@@ -1,7 +1,6 @@
 """Tests for the Graham list-scheduling / LPT substrate."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

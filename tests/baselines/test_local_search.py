@@ -1,6 +1,5 @@
 """Tests for hill-climbing rebalancing."""
 
-import pytest
 from hypothesis import given, settings
 
 from repro.baselines import hill_climb_rebalance

@@ -6,8 +6,6 @@ bug in the loser, and shared invariants (budgets, conservation) must
 hold for all of them simultaneously.
 """
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 
 import repro
@@ -18,7 +16,6 @@ from ..conftest import instances_with_k
 MOVE_BUDGET_ALGOS = (
     "greedy",
     "m-partition",
-    "m-partition-incremental",
     "hill-climb",
     "exact",
 )
@@ -62,12 +59,3 @@ class TestCrossAlgorithm:
         )
         res = repro.rebalance(inst, algorithm="unit-exact", k=4)
         assert res.makespan == exact_rebalance(inst, k=4).makespan
-
-    def test_incremental_dispatch_matches_rescan(self):
-        inst = repro.make_instance(
-            sizes=[8, 7, 2, 2, 1], initial=[0, 0, 0, 1, 1], num_processors=2
-        )
-        a = repro.rebalance(inst, algorithm="m-partition", k=2)
-        b = repro.rebalance(inst, algorithm="m-partition-incremental", k=2)
-        assert a.makespan == b.makespan
-        assert np.array_equal(a.assignment.mapping, b.assignment.mapping)

@@ -18,10 +18,10 @@ from repro.core import (
     m_partition_rebalance,
     make_instance,
     patch_tables,
-    scan_start,
 )
 
 from ..conftest import instances_with_k, small_instances
+from .test_threshold_scan import assert_matches_rescan, scan_start
 
 
 def assert_tables_equal(actual, expected):
@@ -65,15 +65,11 @@ class TestScanStart:
     @given(instances_with_k(max_jobs=8, max_processors=4))
     def test_rescan_and_incremental_share_the_start(self, case):
         """The windowed scan derives its start from the per-processor
-        streams and the Fenwick scan from ``scan_start``: instances whose
-        average load sits at a threshold boundary must not diverge."""
-        from repro.core import m_partition_rebalance_incremental
-
+        rows and the naive rescan oracle from ``scan_start`` over the
+        global union: instances whose average load sits at a threshold
+        boundary must not diverge."""
         inst, k = case
-        assert_same_decision(
-            m_partition_rebalance(inst, k),
-            m_partition_rebalance_incremental(inst, k),
-        )
+        assert_matches_rescan(inst, k, m_partition_rebalance(inst, k))
 
 
 class TestPatchTables:
@@ -410,8 +406,6 @@ class TestRebalanceEngine:
                 assert_same_decision(a, b)
 
     def test_prebuilt_tables_accepted_by_scanners(self):
-        from repro.core import m_partition_rebalance_incremental
-
         inst = make_instance(
             sizes=[8, 7, 2, 2, 1], initial=[0, 0, 0, 1, 1], num_processors=2
         )
@@ -419,8 +413,4 @@ class TestRebalanceEngine:
         assert_same_decision(
             m_partition_rebalance(inst, 2),
             m_partition_rebalance(inst, 2, tables=tables),
-        )
-        assert_same_decision(
-            m_partition_rebalance_incremental(inst, 2),
-            m_partition_rebalance_incremental(inst, 2, tables=tables),
         )

@@ -18,9 +18,9 @@ from repro.core import rollhash
 from repro.core.engine import _merge_hints, _normalize_hint, snapshot_fingerprint
 from repro.core.instance import Instance
 from repro.core.partition import _window_candidates, scan_thresholds
-from repro.core.thresholds import candidate_guesses, patch_tables_hint
+from repro.core.thresholds import patch_tables_hint
 
-from .test_threshold_scan import rescan
+from .test_threshold_scan import candidate_guesses, rescan
 
 
 def _random_state(rng, n, m, integer=False):

@@ -1,5 +1,8 @@
 """Tests for the PTAS (Section 4, Theorem 4)."""
 
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +13,9 @@ from repro.core import (
     make_instance,
     ptas_rebalance,
 )
+from repro.core import ptas
 from repro.core.ptas import _discretize
+from repro.workloads import random_instance
 
 from ..conftest import small_instances
 
@@ -53,6 +58,23 @@ class TestDiscretization:
         inst = make_instance(sizes=[100.0], initial=[0])
         with pytest.raises(ValueError, match="exceeds"):
             _discretize(inst, 10.0, 0.25)
+
+    def test_each_guess_discretized_once(self):
+        # The accepted guess's discretization feeds both its DP and the
+        # realization: one call per guess tried, none repeated.
+        inst = random_instance(7, 3, np.random.default_rng(4),
+                               cost_family="random", integer_sizes=True)
+        guesses = []
+
+        def counted(instance, guess, delta):
+            guesses.append(guess)
+            return _discretize(instance, guess, delta)
+
+        with mock.patch.object(ptas, "_discretize", counted):
+            res = ptas_rebalance(inst, float(inst.costs.sum()) / 10.0, eps=1.0)
+        assert res.meta["guesses_tried"] == 4
+        assert len(guesses) == res.meta["guesses_tried"]
+        assert guesses[-1] == res.guessed_opt
 
 
 class TestPTAS:

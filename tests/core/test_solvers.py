@@ -71,4 +71,4 @@ class TestDispatch:
     def test_available_lists_builtins_and_baselines(self):
         names = available_algorithms()
         assert "greedy" in names and "m-partition" in names
-        assert "shmoys-tardos" in names
+        assert "shmoys-tardos" in names and "unit-exact" in names

@@ -14,7 +14,6 @@ from repro.core import (
     cost_partition_rebalance,
     greedy_rebalance,
     m_partition_rebalance,
-    m_partition_rebalance_incremental,
     make_instance,
     ptas_rebalance,
 )
@@ -157,14 +156,6 @@ class TestSolverIntegration:
             == res.meta["thresholds_tried"]
         )
         assert "m_partition.scan" in tel["spans"]
-
-    def test_incremental_matches_rescan_telemetry(self):
-        inst = _instance()
-        with telemetry.collect():
-            res = m_partition_rebalance_incremental(inst, 5)
-        tel = res.meta["telemetry"]
-        assert tel["counters"]["thresholds_tried"] == res.meta["thresholds_tried"]
-        assert "m_partition_inc.scan" in tel["spans"]
 
     def test_cost_partition_counts_knapsack_cells(self):
         inst = _instance(n=20, m=3, cost_family="random")

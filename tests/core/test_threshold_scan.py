@@ -1,12 +1,12 @@
 """M-PARTITION's windowed threshold scan against the rescan it replaced.
 
 ``m_partition_rebalance`` and the engine's unhinted decide used to
-materialize the global threshold union (``candidate_guesses``), start at
-``scan_start`` and re-evaluate every processor at each threshold until
-the first feasible one planning at most ``k`` moves.  That per-guess
-rescan is kept here as the oracle, and both callers of the windowed scan
-must match it exactly: stop guess, planned moves, ``thresholds_tried``
-and the constructed mapping.
+materialize the global threshold union (:func:`candidate_guesses`), start
+at :func:`scan_start` and re-evaluate every processor at each threshold
+until the first feasible one planning at most ``k`` moves.  That
+per-guess rescan is kept here as the oracle, and both callers of the
+windowed scan must match it exactly: stop guess, planned moves,
+``thresholds_tried`` and the constructed mapping.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 from repro.core import (
     Instance,
     RebalanceEngine,
+    ThresholdTables,
     build_tables,
-    candidate_guesses,
     m_partition_rebalance,
-    scan_start,
 )
 from repro.core import partition
 from repro.core.partition import _construct, _finalize_evaluation, scan_thresholds
+from repro.core.thresholds import row_ranges
 
 # Integers tie often; tenths and thousandths make per-processor prefix
 # sums depend on their summation order.
@@ -60,6 +60,37 @@ def scan_cases(draw, max_jobs: int = 30, max_processors: int = 6):
 
 
 # --- Oracle: the per-guess rescan the windowed scan replaced. --------------
+
+
+def candidate_guesses(tables: ThresholdTables) -> np.ndarray:
+    """All threshold values for the guess ``A``, sorted ascending.
+
+    Per Lemma 5 the tuple ``(L_T, a_1..a_m, b_1..b_m)`` is constant for
+    ``A`` between consecutive values of this set, so M-PARTITION only
+    ever needs to try these ``O(n)`` guesses.
+    """
+    first = tables.start[:-1]
+    sizes = tables.values[0, row_ranges(first, tables.count)]
+    prefix = tables.values[1, row_ranges(first + 1, tables.count)]
+    return np.unique(np.concatenate((2.0 * sizes, prefix, 2.0 * prefix)))
+
+
+def scan_start(candidates: np.ndarray, average_load: float) -> int:
+    """Index of the largest threshold not exceeding ``average_load``.
+
+    This is M-PARTITION's starting guess (Section 3.1: the average load
+    never exceeds ``OPT``).  The result is clamped into
+    ``[0, len(candidates) - 1]`` so the scan always starts on a real
+    threshold: when every candidate exceeds the average the scan starts
+    at the smallest one, and when the average exceeds every candidate
+    (only possible through float round-off — the heaviest processor's
+    full load is itself a candidate and bounds the average from above)
+    the scan starts at the largest one instead of indexing past the end.
+    """
+    if candidates.shape[0] == 0:
+        return 0
+    start = int(np.searchsorted(candidates, average_load, side="right")) - 1
+    return min(max(start, 0), int(candidates.shape[0]) - 1)
 
 
 def small_count(sizes: np.ndarray, guess: float) -> int:

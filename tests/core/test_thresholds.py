@@ -3,10 +3,10 @@
 import numpy as np
 from hypothesis import given, settings
 
-from repro.core import build_tables, candidate_guesses, evaluate_guess, make_instance
+from repro.core import build_tables, evaluate_guess, make_instance
 
 from ..conftest import small_instances
-from .test_threshold_scan import a_value, b_value, small_count
+from .test_threshold_scan import a_value, b_value, candidate_guesses, small_count
 
 
 def brute_a_value(inst, proc, guess):

@@ -2,7 +2,6 @@
 bound paired with Corollary 1's 1.5 lower bound)."""
 
 import numpy as np
-import pytest
 
 from repro.core import make_instance
 from repro.hardness import (

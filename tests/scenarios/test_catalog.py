@@ -25,6 +25,7 @@ from repro.scenarios import (
     scenario_ids,
     write_record,
 )
+from repro.scenarios.records import default_records_root, to_jsonable
 from repro.service.loadgen import CALIBRATIONS
 
 
@@ -170,3 +171,15 @@ class TestRecords:
 
     def test_tiers_constant(self):
         assert TIERS == ("ci", "full")
+
+    def test_tracked_records_match_catalog_axes(self):
+        # The drift comparator never reads ``axes``, so a catalog edit
+        # that leaves the tracked records behind would go unnoticed.
+        paths = sorted(default_records_root().glob("*/*.json"))
+        assert paths
+        for path in paths:
+            record = load_record(path)
+            assert path.stem in CATALOG, f"{path}: no such scenario"
+            assert record["axes"] == to_jsonable(
+                CATALOG[path.stem].axes_dict()
+            ), path

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core import ptas_rebalance
-from repro.parallel import default_workers, run_sweep, run_until
+from repro.parallel import default_workers, run_sweep
 from repro.websim import (
     DiurnalTraffic,
     MPartitionPolicy,
@@ -13,16 +12,11 @@ from repro.websim import (
     build_cluster,
     run_many,
 )
-from repro.workloads import random_instance
 
 
 def _square(x):
     telemetry.count("square_calls")
     return x * x
-
-
-def _is_even_square(x):
-    return x * x if x % 2 == 0 else None
 
 
 class TestRunSweep:
@@ -56,35 +50,6 @@ class TestRunSweep:
         assert default_workers() >= 1
 
 
-class TestRunUntil:
-    def test_returns_first_accepted_index(self):
-        for workers in (1, 2):
-            hit = run_until(
-                _is_even_square, [1, 3, 4, 6, 5], lambda r: r is not None,
-                workers=workers, chunk=2,
-            )
-            assert hit == (2, 16)
-
-    def test_none_when_nothing_accepted(self):
-        for workers in (1, 2):
-            assert run_until(
-                _is_even_square, [1, 3, 5], lambda r: r is not None,
-                workers=workers, chunk=2,
-            ) is None
-
-    def test_serial_stops_at_hit(self):
-        calls = []
-
-        def probe(x):
-            calls.append(x)
-            return x
-
-        assert run_until(probe, [1, 2, 3, 4], lambda r: r == 2, workers=1) == (
-            1, 2,
-        )
-        assert calls == [1, 2]  # nothing past the hit is evaluated
-
-
 class TestCollectorMerge:
     def test_merge_adds_spans_and_counters(self):
         a = telemetry.Collector()
@@ -98,34 +63,6 @@ class TestCollectorMerge:
         assert a.spans["phase"] == [2, 0.75]
         assert a.spans["other"] == [1, 1.0]
         assert a.counters["cells"] == 15
-
-
-class TestParallelPTAS:
-    def test_parallel_guess_search_identical_threshold(self):
-        inst = random_instance(
-            7, 3, np.random.default_rng(9), cost_family="random",
-            integer_sizes=True,
-        )
-        budget = float(inst.costs.sum()) / 2.0
-        serial = ptas_rebalance(inst, budget, eps=1.0, workers=1)
-        fanned = ptas_rebalance(inst, budget, eps=1.0, workers=2)
-        assert fanned.guessed_opt == serial.guessed_opt
-        assert fanned.planned_cost == serial.planned_cost
-        assert fanned.meta["guesses_tried"] == serial.meta["guesses_tried"]
-        assert (
-            fanned.assignment.mapping == serial.assignment.mapping
-        ).all()
-
-    def test_parallel_merges_worker_telemetry(self):
-        inst = random_instance(
-            6, 3, np.random.default_rng(4), cost_family="random",
-            integer_sizes=True,
-        )
-        budget = float(inst.costs.sum())
-        with telemetry.collect() as col:
-            ptas_rebalance(inst, budget, eps=1.0, workers=2)
-        assert "ptas.dp" in col.spans
-        assert col.counters.get("ptas_dp_states", 0) > 0
 
 
 class TestWebsimRunMany:

@@ -1,7 +1,6 @@
 """Weighted-migration simulation: Section 3.2 inside the epoch loop."""
 
 import numpy as np
-import pytest
 
 from repro.websim import (
     BytesProportionalCost,
