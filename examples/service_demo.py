@@ -3,15 +3,15 @@
 
 `repro.service` puts the paper's online setting on the wire: a
 stdlib-asyncio TCP server holds one warm `RebalanceEngine` per named
-shard behind an admission queue and a fingerprint-deduping
-micro-batcher.  This demo walks the whole loop:
+shard behind an admission queue that coalesces duplicate requests and
+a micro-batcher.  This demo walks the whole loop:
 
 1. start a server in a background thread,
 2. solve one snapshot remotely and check it matches the in-process
    solver byte for byte (the service's core contract),
 3. fan out duplicate submissions with the async client and check that
-   they cost at most one fresh engine decision (the batcher collapses
-   them, or the server's response memo answers them),
+   they cost at most one shard decision (they join the first one's
+   solve, or the server's response memo answers them),
 4. read the server's own account of all that from ``status``,
 5. run a short open-loop load-generation burst and print the report.
 
@@ -73,8 +73,7 @@ with start_background(ServerConfig()) as server:
                     await c.close()
 
         def fresh_decisions() -> int:
-            engine = client.status()["shards"]["demo"]["engine"]
-            return engine["decisions"] - engine["cache_hits"]
+            return client.status()["shards"]["demo"]["decisions"]
 
         before = fresh_decisions()
         results = asyncio.run(storm())
@@ -83,13 +82,14 @@ with start_background(ServerConfig()) as server:
             assert np.array_equal(
                 r.assignment.mapping, local.assignment.mapping
             )
-        # A memo answer describes no batch, so only solved ones carry it.
+        # A memo answer describes no batch; a solved answer and every
+        # joiner of its solve carry the batch that decided it.
         batches = [
             r.meta["service"]["batch"]
             for r in results if "batch" in r.meta["service"]
         ]
         print(
-            f"6 concurrent identical requests -> {fresh} fresh engine "
+            f"6 concurrent identical requests -> {fresh} shard "
             f"decision(s), {len(results) - len(batches)} memo answers"
             + (f", batches {batches[0]} ..." if batches else "")
         )

@@ -670,8 +670,8 @@ def experiment_e14_service(
     so one from-scratch solve costs >= 15ms on this host (so the naive
     one-request-per-solve server's capacity is well below the offered
     rate regardless of machine speed).  ``batched`` is the full
-    pipeline — admission queue, fingerprint-dedupe micro-batching, warm
-    per-shard engines; ``naive`` solves every request from scratch,
+    pipeline — admission queue with single-flight coalescing,
+    micro-batching, warm per-shard engines; ``naive`` solves every request from scratch,
     one at a time.  The overload rows re-run each mode past capacity
     with a tighter admission queue: graceful degradation means the
     excess is turned away as rejections/sheds while the server stays

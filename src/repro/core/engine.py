@@ -25,11 +25,15 @@ instance and amortizes the solver state across them:
   the Step-3 selection from the scan's per-processor columns at the
   stop guess, exactly as a from-scratch
   :func:`~repro.core.partition.m_partition_rebalance` does.
-* **Decision cache** — a fingerprint (blake2b over sizes, costs,
-  initial assignment and processor count) keyed LRU of full
+* **Decision cache** — a fingerprint (the rolling hash of sizes,
+  costs, initial assignment and processor count) keyed LRU of full
   :class:`~repro.core.result.RebalanceResult` objects, so a
   byte-identical snapshot (e.g. a flash crowd that fully decayed back
   to baseline) returns the cached decision without touching the solver.
+  It serves in-process streams (websim policies, E12), which revisit
+  snapshots.  The service builds its shard engines with
+  ``cache_size=0``: it collapses duplicates before they reach an
+  engine, and each cached result keeps a full mapping alive.
 
 Differential property tests enforce that every decision (assignment,
 stopping guess, planned move count) is identical to a from-scratch
@@ -134,8 +138,8 @@ def snapshot_fingerprint(instance: Instance) -> bytes:
     """Digest of everything a rebalancing decision can depend on.
 
     Shared by the engine's decision cache and the service layer's
-    within-batch dedupe (:mod:`repro.service.batching`): two instances
-    with equal fingerprints are byte-identical snapshots.
+    coalescing and response memo (:mod:`repro.service.admission`): two
+    instances with equal fingerprints are byte-identical snapshots.
 
     Since the O(churn) decide path landed this is the *additive rolling
     hash* of :mod:`repro.core.rollhash`, not blake2b: the full digest
@@ -231,25 +235,6 @@ class RebalanceEngine:
         """
         return self._pending is not None
 
-    def cached(self, fingerprint: bytes) -> RebalanceResult | None:
-        """Decision-cache lookup by fingerprint alone.
-
-        On a hit this counts a full decision (``decisions`` and
-        ``cache_hits``) and returns the cached result — byte-identical
-        to what :meth:`rebalance` would return — without the caller ever
-        materializing the snapshot.  On a miss it returns ``None`` and
-        touches no counters; the caller must follow up with
-        :meth:`rebalance`.
-        """
-        cached = self._cache.get(fingerprint)
-        if cached is None:
-            return None
-        self._cache.move_to_end(fingerprint)
-        self.stats.decisions += 1
-        self.stats.cache_hits += 1
-        telemetry.count("cache_hits")
-        return cached
-
     # ------------------------------------------------------------------
     def _update_tables(self, instance: Instance) -> ThresholdTables:
         """Cached tables patched to ``instance``, or a full build."""
@@ -285,10 +270,11 @@ class RebalanceEngine:
         """Decide one epoch: M-PARTITION on ``instance`` with budget
         ``k``, served warm from the engine's caches.
 
-        ``fingerprint`` lets a caller that already hashed the snapshot
-        (the service layer rolls :func:`snapshot_fingerprint` at
-        admission for batching dedupe and delta bases) skip the second
-        hashing pass; it must be ``snapshot_fingerprint(instance)``.
+        ``fingerprint`` keys the decision cache; a caller that already
+        hashed the snapshot (e.g. rolled it with a delta) passes it to
+        skip the second hashing pass, and it must then be
+        ``snapshot_fingerprint(instance)``.  With ``cache_size=0`` no
+        fingerprint is needed or computed.
 
         ``changed`` is an optional churn hint ``(idx, old_sizes,
         old_costs, old_initial)`` naming exactly the jobs that differ
@@ -304,16 +290,22 @@ class RebalanceEngine:
         a from-scratch decide (differential tests enforce it).
         """
         tmark = telemetry.mark()
-        fp = fingerprint if fingerprint is not None else _fingerprint(instance)
-        cached = self.cached(fp)
-        if cached is not None:
-            if changed is not None:
-                # The arrays advanced even though the decision was
-                # cached; remember the churn for the next real decide.
-                self._pending = _merge_hints(
-                    self._pending, _normalize_hint(changed)
-                )
-            return cached
+        fp = None
+        if self.cache_size:
+            fp = fingerprint if fingerprint is not None else _fingerprint(instance)
+            cached = self._cache.get(fp)
+            if cached is not None:
+                self._cache.move_to_end(fp)
+                self.stats.decisions += 1
+                self.stats.cache_hits += 1
+                telemetry.count("cache_hits")
+                if changed is not None:
+                    # The arrays advanced even though the decision was
+                    # cached; remember the churn for the next real decide.
+                    self._pending = _merge_hints(
+                        self._pending, _normalize_hint(changed)
+                    )
+                return cached
         self.stats.decisions += 1
 
         hint = _merge_hints(
@@ -399,8 +391,8 @@ class RebalanceEngine:
         self._remember(fp, result)
         return result
 
-    def _remember(self, fp: bytes, result: RebalanceResult) -> None:
-        if self.cache_size == 0:
+    def _remember(self, fp: bytes | None, result: RebalanceResult) -> None:
+        if fp is None:
             return
         self._cache[fp] = result
         while len(self._cache) > self.cache_size:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable
 
 from . import telemetry
@@ -63,26 +63,13 @@ def run_sweep(
     *,
     workers: int | None = None,
     chunksize: int = 1,
-    executor: str = "process",
 ) -> list[Any]:
     """Apply ``fn`` to every item, returning results in input order.
 
-    ``fn`` and the items must be picklable when ``workers > 1`` with
-    the default ``executor="process"`` (``fn`` is typically a
-    module-level function taking one payload tuple).  ``workers=None``
-    means :func:`default_workers`.
-
-    ``executor="thread"`` fans out over a thread pool instead: nothing
-    is pickled, so stateful unpicklable objects (e.g. the service
-    layer's per-shard :class:`~repro.core.engine.RebalanceEngine`
-    pools) can be mutated in place by the workers.  Threads share the
-    GIL, so this pays off for numpy-heavy work and for keeping an
-    asyncio event loop responsive, not for pure-Python loops.
-    Telemetry merging works identically in both modes (each worker
-    thread gets its own thread-local collector).
+    ``fn`` and the items must be picklable when ``workers > 1`` (``fn``
+    is typically a module-level function taking one payload tuple).
+    ``workers=None`` means :func:`default_workers`.
     """
-    if executor not in ("process", "thread"):
-        raise ValueError(f"unknown executor {executor!r}")
     items = list(items)
     if workers is None:
         workers = default_workers()
@@ -92,8 +79,7 @@ def run_sweep(
     with_tel = telemetry.enabled()
     payloads = [(fn, idx, item, with_tel) for idx, item in enumerate(items)]
     results: list[Any] = [None] * len(items)
-    pool_cls = ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
-    with pool_cls(max_workers=min(workers, len(items))) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         for idx, out, tel in pool.map(
             _call_collected, payloads, chunksize=chunksize
         ):

@@ -11,12 +11,13 @@ through the same pipeline an inference-serving stack uses::
 
     connections → admission queue → micro-batcher → engine pool
                   (bounded,         (max size +      (per-shard warm
-                   reject +          max wait,        engines over
-                   deadline shed)    dedupe)          resident arrays,
-                                                      thread fan-out)
+                   reject,           max wait)        engines over
+                   coalesce,                          resident arrays,
+                   deadline shed)                     lane threads)
 
 Module map: :mod:`~repro.service.protocol` (framing),
-:mod:`~repro.service.admission` (bounded queue + backpressure),
+:mod:`~repro.service.admission` (bounded queue, single-flight
+coalescing, backpressure),
 :mod:`~repro.service.batching` (dynamic micro-batches),
 :mod:`~repro.service.server` (the asyncio server),
 :mod:`~repro.service.client` (sync + async clients),
@@ -27,8 +28,8 @@ shard placement, delta-replay replication, failover, live migration),
 ``repro loadgen``).
 """
 
-from .admission import AdmissionQueue, PendingRequest
-from .batching import BatchConfig, MicroBatcher, ShardLane, UniqueSolve
+from .admission import AdmissionQueue, PendingRequest, SolveGroup
+from .batching import BatchConfig, MicroBatcher, ShardLane
 from .client import (
     AsyncServiceClient,
     ConnectionClosed,
@@ -129,7 +130,7 @@ __all__ = [
     "ServiceError",
     "ShardLane",
     "ShardState",
-    "UniqueSolve",
+    "SolveGroup",
     "build_snapshots",
     "calibrate_workload",
     "calibrate_wire_workload",

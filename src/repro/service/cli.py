@@ -79,7 +79,7 @@ def _server_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--naive", action="store_true",
         help="one-request-per-solve control mode: batch size 1, no "
-        "dedupe, no warm engine (the E14 baseline)",
+        "coalescing, no warm engine (the E14 baseline)",
     )
     parser.add_argument(
         "--solve-delay-ms", type=float, default=0.0,

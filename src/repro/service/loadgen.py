@@ -10,8 +10,8 @@ The synthetic workload mirrors the paper's setting: one simulated web
 cluster whose site loads drift epoch by epoch (diurnal + flash-crowd
 traffic), observed by ``duplicates`` independent frontends — so every
 epoch snapshot is submitted ``duplicates`` times, back to back, which
-is exactly the redundancy the server's fingerprint-dedupe batching
-exists to collapse.
+is exactly the redundancy the server's single-flight coalescing and
+response memo exist to collapse.
 
 The report records client-observed latency percentiles (via
 :class:`repro.telemetry.Histogram`), completions, rejections
@@ -191,7 +191,7 @@ def build_snapshots(config: LoadGenConfig) -> list[Instance]:
     * ``"churn"`` — flash crowds every epoch (probability one).  Like
       ``"steady"`` the churn is sparse, but *every* snapshot is
       guaranteed distinct, so no two consecutive requests share a
-      fingerprint and the server's dedupe can never collapse them: the
+      fingerprint and the server can never collapse them: the
       regime that isolates per-request transport cost.
     """
     from ..websim.simulator import build_cluster
@@ -622,23 +622,24 @@ class LocalChurnStream:
     The same seed snapshot, per-epoch churn and riding moves as one
     :func:`run_churn_stream` shard, with the server's side of the wire
     in the same process: the client tip the deltas rebase on, the
-    solve plane's resident arrays (:class:`SolveResident`) and a warm
-    :class:`~repro.core.engine.RebalanceEngine` fed each delta's churn
+    solve plane's resident arrays (:class:`SolveResident`) and the warm
+    engine ``serve`` builds for a shard
+    (:func:`~repro.service.server.shard_engine`) fed each delta's churn
     hint.  :meth:`next_epoch` commits one delta and returns the decide
     arguments; :meth:`decide` runs the hinted engine decide — split so
     a benchmark can time the decide alone.
     """
 
     def __init__(self, config: ChurnStreamConfig) -> None:
-        from ..core.engine import RebalanceEngine
         from .resident import SolveResident
+        from .server import shard_engine
 
         self.rng = np.random.default_rng([config.seed, 0])
         seed_instance = _churn_stream_seed_instance(config, self.rng)
         self.churn = config.churn
         self.tip = ResidentShard(seed_instance)
         self.solve = SolveResident(seed_instance)
-        self.engine = RebalanceEngine(config.k)
+        self.engine = shard_engine(config.k)
         self.result = self.decide(self.solve.view(), self.tip.fp.digest(), None)
 
     def next_epoch(self) -> tuple[Instance, bytes, tuple]:

@@ -4,21 +4,35 @@
 loop, admitted into the bounded :class:`~repro.service.admission.AdmissionQueue`,
 drained by the :class:`~repro.service.batching.MicroBatcher`, and solved
 by per-shard warm :class:`~repro.core.engine.RebalanceEngine` instances,
-so every shard's epoch stream hits the threshold-table and fingerprint
-caches exactly as an in-process engine would.  The event loop never
-blocks on a solve: each batch is one ``run_in_executor`` hop to the
-solve thread, which fans independent shard lanes out via
-:func:`repro.parallel.run_sweep` worker threads.
+so every shard's epoch stream patches its threshold tables exactly as
+an in-process engine would.  The event loop never blocks on a solve:
+each batch is one ``run_in_executor`` hop to the solve thread, which
+fans independent shard lanes out over the server's lane threads.
 
 Every request takes one path, the resident one
 (:mod:`repro.service.resident`): each shard keeps its snapshot as
 resident arrays plus a rolling fingerprint.  A full snapshot (re)seeds
-the resident; a delta frame whose ``base`` is the resident tip is
-applied in O(changed sites) and reaches the engine as a churn hint; a
-delta on any other base answers ``unknown base`` and the client resends
-one full snapshot.  Multi-core scale-out lives one layer up: the
-cluster router (:mod:`repro.service.cluster`) spreads shards over N
-``serve`` processes by crc32 shard affinity.
+the resident once it is admitted (a rejected one leaves the tip where
+it was); a delta frame whose ``base`` is the resident tip is applied in
+O(changed sites) and reaches the engine as a churn hint; a delta on any
+other base answers ``unknown base`` and the client resends one full
+snapshot.  Multi-core scale-out lives one layer up: the cluster router
+(:mod:`repro.service.cluster`) spreads shards over N ``serve``
+processes by crc32 shard affinity.
+
+Each ``(shard, k, fingerprint, moves_only)`` key is decided at most
+once while it is remembered.  The event-loop response memo answers
+finished keys; a key that is queued or solving is answered by its
+solve group, which every later request for it joins at admission
+(single flight).  So no duplicate reaches an engine, and shard engines
+keep no decision cache (:func:`shard_engine`).  What an answer reports
+under ``meta["service"]`` on the client says how it was served: a
+solved answer carries ``batch`` (``size``: requests the batch answered,
+``unique``: its solves, ``solve_ms``), and a group joiner shares its
+leader's answer, ``batch`` included; a memo answer carries no ``batch``.
+Joiners count in ``service.deduped``, memo answers in
+``service.decision_hits``.  A delta that joins or hits the memo still
+commits its frame and parks it for the shard's next solve.
 
 The server speaks both wire formats of :mod:`repro.service.protocol`
 (v1 length-prefixed JSON and v2 binary with delta frames) on one port
@@ -26,15 +40,15 @@ and answers each request in the format it arrived in.
 
 Decisions are byte-identical to in-process
 :func:`repro.core.partition.m_partition_rebalance` calls on the same
-snapshots (the engine's transparent-acceleration contract, plus the
-batcher's dedupe only collapsing byte-identical snapshots); the
-end-to-end websim differential test pins this across v1-JSON,
-v2-binary, and v2-delta transports.
+snapshots (the engine's transparent-acceleration contract, plus
+coalescing only ever sharing the decision of a byte-identical
+snapshot); the end-to-end websim differential test pins this across
+v1-JSON, v2-binary, and v2-delta transports.
 
-:class:`ServerConfig.naive` is the control: batch size 1, no dedupe,
-no warm engine — every decide is a from-scratch ``m_partition_rebalance``
-on the resident arrays, the one-request-per-solve server benchmark E14
-measures against.
+:class:`ServerConfig.naive` is the control: batch size 1, no
+coalescing, no response memo, no warm engine — every request is its own
+from-scratch ``m_partition_rebalance`` on the resident arrays, the
+one-request-per-solve server benchmark E14 measures against.
 """
 
 from __future__ import annotations
@@ -54,9 +68,8 @@ from ..core.engine import RebalanceEngine, snapshot_fingerprint
 from ..core.instance import Instance
 from ..core.partition import m_partition_rebalance
 from ..core.result import RebalanceResult
-from ..parallel import run_sweep
-from .admission import AdmissionQueue, PendingRequest
-from .batching import BatchConfig, MicroBatcher, ShardLane, UniqueSolve
+from .admission import AdmissionQueue, GroupKey, PendingRequest, SolveGroup
+from .batching import BatchConfig, MicroBatcher, ShardLane
 from .resident import ResidentShard, SolveResident
 from .protocol import (
     ProtocolError,
@@ -71,6 +84,7 @@ __all__ = [
     "ServerConfig",
     "ServerHandle",
     "ShardState",
+    "shard_engine",
     "start_background",
 ]
 
@@ -83,11 +97,11 @@ class ServerConfig:
     port: int = 0  # 0 = let the OS pick; read it back from Server.port
     max_batch: int = 16
     max_wait_ms: float = 2.0
+    # Coalesce requests for a key in flight into its one solve.
     dedupe: bool = True
     use_engine: bool = True
     max_queue: int = 128
     solver_workers: int = 4
-    engine_cache_size: int = 64
     # Event-loop response memo: a repeated ``(shard, k, fingerprint,
     # moves_only)`` decide answers without admission, batching or a
     # solve-thread hop — the steady-state fast path that keeps p50 at
@@ -110,7 +124,7 @@ class ServerConfig:
     @classmethod
     def naive(cls, **overrides: Any) -> "ServerConfig":
         """The one-request-per-solve control server: no batching, no
-        dedupe, no warm engine — every request is a from-scratch
+        coalescing, no warm engine — every request is a from-scratch
         ``m_partition_rebalance`` call."""
         return replace(
             cls(
@@ -128,7 +142,6 @@ class ServerConfig:
             "use_engine": self.use_engine,
             "max_queue": self.max_queue,
             "solver_workers": self.solver_workers,
-            "engine_cache_size": self.engine_cache_size,
             "decision_cache_size": self.decision_cache_size,
             "solve_delay_s": self.solve_delay_s,
         }
@@ -151,12 +164,22 @@ class ShardState:
         }
 
 
+def shard_engine(k: int) -> RebalanceEngine:
+    """The warm engine ``serve`` runs for one shard.
+
+    It keeps no decision cache: duplicates coalesce at admission and
+    finished keys answer from the response memo, so no snapshot a
+    served engine decides is asked of it again, and an LRU of results
+    would only keep their full mappings alive.
+    """
+    return RebalanceEngine(k, cache_size=0)
+
+
 def _get_shard_state(
     shards: dict[str, ShardState],
     name: str,
     k: int,
     use_engine: bool,
-    engine_cache_size: int,
 ) -> tuple[ShardState, bool]:
     """The shard's state, (re)building its engine on a ``k`` change.
 
@@ -171,15 +194,14 @@ def _get_shard_state(
         state = ShardState(
             name=name,
             k=k,
-            engine=RebalanceEngine(k=k, cache_size=engine_cache_size)
-            if use_engine else None,
+            engine=shard_engine(k) if use_engine else None,
         )
         shards[name] = state
     elif state.k != k:
         rebuilt = True
         state.k = k
         if use_engine:
-            state.engine = RebalanceEngine(k=k, cache_size=engine_cache_size)
+            state.engine = shard_engine(k)
     return state, rebuilt
 
 
@@ -230,9 +252,7 @@ class RebalanceServer:
             BatchConfig(
                 max_batch=self.config.max_batch,
                 max_wait_ms=self.config.max_wait_ms,
-                dedupe=self.config.dedupe,
             ),
-            self.metrics,
         )
         # Resident shard plane: per-shard writable arrays + rolling
         # fingerprint on the event loop, their solve-thread mirrors, and
@@ -240,12 +260,15 @@ class RebalanceServer:
         # hex, moves_only)``.
         self._residents: dict[str, ResidentShard] = {}
         self._solve_residents: dict[str, SolveResident] = {}  # solve thread
-        self._responses: OrderedDict[
-            tuple[str, int, str, bool], dict[str, Any]
-        ] = OrderedDict()
+        self._responses: OrderedDict[GroupKey, dict[str, Any]] = OrderedDict()
         self._server: asyncio.AbstractServer | None = None
         self._batch_task: asyncio.Task | None = None
         self._executor: ThreadPoolExecutor | None = None
+        # Lane threads for batches that span several shards (``None``:
+        # every batch solves inline on the solve thread).
+        self._lane_pool: ThreadPoolExecutor | None = None
+        # Lanes rebuilding engines at once would race on one counter.
+        self._rebuild_lock = threading.Lock()
         self._stop_event: asyncio.Event | None = None
         self._started_at = time.monotonic()
 
@@ -267,6 +290,19 @@ class RebalanceServer:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-solve"
         )
+        lanes = self.config.solver_workers
+        if not self.config.solve_delay_s:
+            # Real CPU-bound solves past the core count add no
+            # throughput — they only interleave O(n)-footprint passes
+            # and thrash caches/GIL (measured ~2x per-solve CPU at
+            # 167k sites with 4 threads on 1 core).  A synthetic
+            # service-time floor sleeps off-GIL, so that mode keeps
+            # the configured fan-out.
+            lanes = min(lanes, os.cpu_count() or 1)
+        if lanes > 1:
+            self._lane_pool = ThreadPoolExecutor(
+                max_workers=lanes, thread_name_prefix="repro-lane"
+            )
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -302,12 +338,14 @@ class RebalanceServer:
                 pass
             self._batch_task = None
         # Fail anything still queued so no handler awaits forever.
-        for request in self.queue.drain_nowait():
-            if not request.future.done():
-                request.future.set_result(error_response("shutting down"))
+        for group in self.queue.drain_nowait():
+            group.resolve(error_response("shutting down"))
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
+        if self._lane_pool is not None:
+            self._lane_pool.shutdown(wait=True)
+            self._lane_pool = None
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -426,7 +464,7 @@ class RebalanceServer:
     # ------------------------------------------------------------------
     def _memo_hit(
         self,
-        key: tuple[str, int, str, bool],
+        key: GroupKey,
         started: float,
         loop: asyncio.AbstractEventLoop,
     ) -> dict[str, Any] | None:
@@ -444,6 +482,18 @@ class RebalanceServer:
         response["fingerprint"] = key[2]
         return response
 
+    def _pending(self, now: float, deadline_ms: float | None) -> PendingRequest:
+        return PendingRequest(
+            future=asyncio.get_running_loop().create_future(),
+            enqueued_at=now,
+            deadline=None if deadline_ms is None else now + deadline_ms / 1e3,
+        )
+
+    def _join(self, key: GroupKey, request: PendingRequest) -> bool:
+        """Single flight: attach ``request`` to ``key``'s solve group if
+        one is queued or solving."""
+        return self.config.dedupe and self.queue.join(key, request)
+
     async def _await_resident(
         self, request: PendingRequest, fp_hex: str
     ) -> dict[str, Any]:
@@ -455,8 +505,8 @@ class RebalanceServer:
         if response.get("ok"):
             self.metrics.add("service.ok")
             # The fingerprint names this snapshot as a future delta
-            # base.  Copy before annotating: deduped requests share one
-            # response object.
+            # base.  Copy before annotating: a group's waiters share
+            # one response object.
             response = dict(response)
             response["fingerprint"] = fp_hex
         return response
@@ -475,8 +525,9 @@ class RebalanceServer:
         O(changed sites) on the event loop: gather the old values,
         roll the fingerprint, and ship the frame — never an Instance —
         to the solve plane.  The commit happens only after admission
-        (or a memo hit), so a rejected request leaves the tip unchanged
-        and the client's retry of the same delta still resolves.
+        (or a memo hit, or joining a group in flight), so a rejected
+        request leaves the tip unchanged and the client's retry of the
+        same delta still resolves.
         """
         loop = asyncio.get_running_loop()
         now = loop.time()
@@ -485,28 +536,24 @@ class RebalanceServer:
         except (KeyError, TypeError, ValueError) as exc:
             self.metrics.add("service.bad_requests")
             return error_response("bad request", message=str(exc))
-        fingerprint = fp.digest()
-        fp_hex = fingerprint.hex()
+        key = (shard, k, fp.digest().hex(), moves_only)
         self.metrics.add("service.delta_applied")
         self.metrics.add("service.resident_deltas")
-        hit = self._memo_hit((shard, k, fp_hex, moves_only), now, loop)
+        hit = self._memo_hit(key, now, loop)
         if hit is not None:
             # The decision is known but the state still advanced: commit
-            # the frame and park it for the next admitted request.
+            # the frame and park it for the next admitted solve.
             res.commit(frame, fp)
             res.defer(frame)
             return hit
-        request = PendingRequest(
-            shard=shard,
-            k=k,
-            instance=None,
-            fingerprint=fingerprint,
-            enqueued_at=now,
-            deadline=None if deadline_ms is None else now + deadline_ms / 1e3,
-            future=loop.create_future(),
-            moves_only=moves_only,
-        )
-        if not self.queue.try_submit(request):
+        request = self._pending(now, deadline_ms)
+        if self._join(key, request):
+            # Likewise while the decision is being made.
+            res.commit(frame, fp)
+            res.defer(frame)
+            return await self._await_resident(request, key[2])
+        group = SolveGroup(key=key, instance=None, waiters=[request])
+        if not self.queue.try_submit(group):
             return error_response(
                 "overloaded", retry_after_ms=self.queue.retry_after_ms()
             )
@@ -516,14 +563,14 @@ class RebalanceServer:
         if res.needs_install:
             # The solve plane has never seen (or gave up tracking) this
             # shard: ship a full copy of the tip instead of frames.
-            request.install = True
-            request.instance = res.install_instance()
+            group.install = True
+            group.instance = res.install_instance()
             res.pending.clear()
             res.needs_install = False
             self.metrics.add("service.resident_installs")
         else:
-            request.frames = res.claim_frames(frame)
-        return await self._await_resident(request, fp_hex)
+            group.frames = res.claim_frames(frame)
+        return await self._await_resident(request, key[2])
 
     async def _resident_full(
         self,
@@ -534,47 +581,51 @@ class RebalanceServer:
         instance: Instance,
         fingerprint: bytes,
     ) -> dict[str, Any]:
-        """Full-snapshot request on the resident path: (re)seed the tip."""
+        """Full-snapshot request on the resident path: (re)seed the tip.
+
+        The tip moves only once the request is answered from the memo,
+        joins a group in flight, or is admitted: a rejected snapshot
+        leaves it where it was, so the shard's delta clients keep their
+        base.
+        """
         loop = asyncio.get_running_loop()
         now = loop.time()
-        fp_hex = fingerprint.hex()
+        key = (shard, k, fingerprint.hex(), moves_only)
         res = self._residents.get(shard)
         in_sync = (
             res is not None
-            and res.fp_hex == fp_hex
+            and res.fp_hex == key[2]
             and not res.needs_install
             and not res.pending
         )
-        if res is None or res.fp_hex != fp_hex:
+        hit = self._memo_hit(key, now, loop)
+        group = request = None
+        if hit is None:
+            request = self._pending(now, deadline_ms)
+            if not self._join(key, request):
+                # A duplicate of an in-sync tip solves without
+                # reinstalling; anything else reseeds the solve plane.
+                group = SolveGroup(
+                    key=key, instance=instance, waiters=[request],
+                    install=not in_sync,
+                )
+                if not self.queue.try_submit(group):
+                    return error_response(
+                        "overloaded",
+                        retry_after_ms=self.queue.retry_after_ms(),
+                    )
+        if res is None or res.fp_hex != key[2]:
+            # A fresh resident starts uninstalled: unless this request's
+            # own solve installs it, the shard's next solve ships it.
             res = ResidentShard(instance)
             self._residents[shard] = res
-        hit = self._memo_hit((shard, k, fp_hex, moves_only), now, loop)
-        if hit is not None:
-            # needs_install stays as-is: the next miss ships the state.
-            return hit
-        request = PendingRequest(
-            shard=shard,
-            k=k,
-            instance=instance,
-            fingerprint=fingerprint,
-            enqueued_at=now,
-            deadline=None if deadline_ms is None else now + deadline_ms / 1e3,
-            future=loop.create_future(),
-            moves_only=moves_only,
-            # A duplicate of an in-sync tip solves without reinstalling
-            # (the engine will almost surely answer from its decision
-            # cache); anything else reseeds the solve plane.
-            install=not in_sync,
-        )
-        if not self.queue.try_submit(request):
-            return error_response(
-                "overloaded", retry_after_ms=self.queue.retry_after_ms()
-            )
-        if request.install:
+        if group is not None and group.install:
             res.pending.clear()
             res.needs_install = False
             self.metrics.add("service.resident_installs")
-        return await self._await_resident(request, fp_hex)
+        if request is None:
+            return hit
+        return await self._await_resident(request, key[2])
 
     def _op_health(self) -> dict[str, Any]:
         """Liveness probe for the cluster router's health loop.
@@ -739,16 +790,17 @@ class RebalanceServer:
                 failure = error_response(
                     "internal error", message=f"{type(exc).__name__}: {exc}"
                 )
-                for request in batch:
-                    if not request.future.done():
-                        request.future.set_result(failure)
+                for group in batch:
+                    self.queue.finish(group)
+                    group.resolve(failure)
 
     async def _serve_batch(
-        self, batch: list[PendingRequest], loop: asyncio.AbstractEventLoop
+        self, batch: list[SolveGroup], loop: asyncio.AbstractEventLoop
     ) -> None:
         batch = self.queue.shed_expired(batch, loop.time())
         if not batch:
             return
+        self.metrics.add("service.batches")
         lanes = self.batcher.plan(batch)
         start = loop.time()
         assert self._executor is not None
@@ -758,79 +810,69 @@ class RebalanceServer:
         elapsed = loop.time() - start
         self.metrics.record_span("service.solve", elapsed)
         self.queue.note_service_time(elapsed / len(batch))
+        # Every request the batch answers, joiners that arrived while it
+        # solved included.
+        answered = sum(len(group.waiters) for group in batch)
+        self.metrics.observe("service.batch_size", float(answered))
         batch_info = {
-            "size": len(batch),
-            "unique": sum(len(lane.solves) for lane in lanes),
+            "size": answered,
+            "unique": len(batch),
             "solve_ms": 1e3 * elapsed,
         }
         memo = self.config.decision_cache_size
         for lane, lane_outcomes in zip(lanes, outcomes):
-            for solve, outcome in zip(lane.solves, lane_outcomes):
+            for group, outcome in zip(lane.solves, lane_outcomes):
                 if outcome is None:
-                    # Apply-only solve: every requester already got its
+                    # Apply-only solve: every waiter already got its
                     # "deadline exceeded"; there is nothing to fan out.
                     continue
-                if isinstance(outcome, dict) and outcome.get("ok"):
+                if outcome.get("ok"):
                     if memo:
                         # Memo before the batch annotation: a replayed
                         # response describes no batch it was part of.
-                        key = (
-                            lane.shard, solve.k,
-                            solve.requests[0].fingerprint.hex(),
-                            solve.moves_only,
-                        )
-                        self._responses[key] = dict(outcome)
+                        self._responses[group.key] = dict(outcome)
                         while len(self._responses) > memo:
                             self._responses.popitem(last=False)
                     outcome["batch"] = batch_info
                 else:
                     self.metrics.add("service.solve_errors")
-                for request in solve.requests:
-                    if not request.future.done():
-                        request.future.set_result(outcome)
+                # Memo first, then out of the in-flight table, with no
+                # await between: a later request for this key finds one
+                # or the other.
+                self.queue.finish(group)
+                group.resolve(outcome)
 
     def _solve_lanes(
         self, lanes: list[ShardLane]
     ) -> list[list[dict[str, Any] | None]]:
         """Executor-side: fan independent shard lanes out.
 
-        Returns, per lane, one response dict per unique solve (in lane
-        order).  Runs on the dedicated solve thread; shard states are
-        only ever touched from here (one batch at a time), so engines
-        need no locking.
+        Returns, per lane, one response dict per solve (in lane order).
+        Runs on the dedicated solve thread, which hands a batch of two
+        or more lanes to the server's lane threads; shard states are
+        only ever touched from there (one batch at a time, one thread
+        per lane), so engines need no locking.
         """
-        workers = min(self.config.solver_workers, max(1, len(lanes)))
-        if not self.config.solve_delay_s:
-            # Real CPU-bound solves past the core count add no
-            # throughput — they only interleave O(n)-footprint passes
-            # and thrash caches/GIL (measured ~2x per-solve CPU at
-            # 167k sites with 4 threads on 1 core).  A synthetic
-            # service-time floor sleeps off-GIL, so that mode keeps
-            # the configured fan-out.
-            workers = min(workers, max(1, os.cpu_count() or 1))
-        return run_sweep(
-            self._solve_lane,
-            lanes,
-            workers=workers,
-            executor="thread",
-        )
+        if self._lane_pool is None or len(lanes) < 2:
+            return [self._solve_lane(lane) for lane in lanes]
+        return list(self._lane_pool.map(self._solve_lane, lanes))
 
     def _solve_lane(self, lane: ShardLane) -> list[dict[str, Any] | None]:
         responses: list[dict[str, Any] | None] = []
         for solve in lane.solves:
             state, rebuilt = _get_shard_state(
-                self.shards, lane.shard, solve.k,
-                self.config.use_engine, self.config.engine_cache_size,
+                self.shards, lane.shard, solve.k, self.config.use_engine
             )
             if rebuilt:
-                self.metrics.add("service.shard_rebuilds")
+                with self._rebuild_lock:
+                    self.metrics.add("service.shard_rebuilds")
             responses.append(self._solve_resident(state, lane.shard, solve))
             if self.config.solve_delay_s:
                 time.sleep(self.config.solve_delay_s)
         return responses
 
     def _solve_resident(
-        self, state: ShardState, shard: str, solve: UniqueSolve
+        self, state: ShardState, shard: str, solve: SolveGroup
     ) -> dict[str, Any] | None:
         """One solve on the resident solve plane (solve thread only).
 
@@ -838,7 +880,7 @@ class RebalanceServer:
         snapshot — onto the shard's solve-side arrays, then decides
         with the accumulated churn hint (or, with no engine, solves
         from scratch).  Never raises; ``None`` for an apply-only solve
-        (every requester already expired).
+        (every waiter already expired).
         """
         engine = state.engine
         try:
@@ -872,11 +914,7 @@ class RebalanceServer:
             if engine is None:
                 result = m_partition_rebalance(instance, solve.k)
             else:
-                result = engine.rebalance(
-                    instance,
-                    fingerprint=solve.requests[0].fingerprint,
-                    changed=hint,
-                )
+                result = engine.rebalance(instance, changed=hint)
             state.decisions += 1
             if solve.moves_only:
                 return _moves_response(state, result, instance)

@@ -10,7 +10,7 @@ import pytest
 from repro import telemetry
 from repro.core import make_instance
 from repro.core.engine import snapshot_fingerprint
-from repro.service import AdmissionQueue, BatchConfig, MicroBatcher
+from repro.service import AdmissionQueue, BatchConfig, MicroBatcher, SolveGroup
 
 
 def _instance(seed: int = 0):
@@ -22,6 +22,18 @@ def _instance(seed: int = 0):
     )
 
 
+def _waiter(loop, deadline: float | None = None):
+    from repro.service.admission import PendingRequest
+
+    return PendingRequest(
+        future=loop.create_future(), enqueued_at=loop.time(), deadline=deadline
+    )
+
+
+def _key(instance, *, shard: str = "default", k: int = 2):
+    return (shard, k, snapshot_fingerprint(instance).hex(), False)
+
+
 def _request(
     loop,
     *,
@@ -30,17 +42,12 @@ def _request(
     instance=None,
     deadline: float | None = None,
 ):
-    from repro.service.admission import PendingRequest
-
+    """A solve group opened by one fresh request."""
     instance = _instance() if instance is None else instance
-    return PendingRequest(
-        shard=shard,
-        k=k,
+    return SolveGroup(
+        key=_key(instance, shard=shard, k=k),
         instance=instance,
-        fingerprint=snapshot_fingerprint(instance),
-        enqueued_at=loop.time(),
-        deadline=deadline,
-        future=loop.create_future(),
+        waiters=[_waiter(loop, deadline)],
     )
 
 
@@ -111,16 +118,77 @@ class TestAdmissionQueue:
             stale = _request(loop, deadline=loop.time() - 0.1)
             fresh = _request(loop, deadline=loop.time() + 10.0)
             unbounded = _request(loop, deadline=None)
+            stale_future = stale.waiters[0].future
             now = loop.time()
             alive = queue.shed_expired([stale, fresh, unbounded], now)
             assert alive == [fresh, unbounded]
-            assert stale.future.done()
-            response = stale.future.result()
+            assert stale_future.done()
+            response = stale_future.result()
             assert response["ok"] is False
             assert response["error"] == "deadline exceeded"
             assert response["queued_ms"] >= 0.0
-            assert not fresh.future.done()
+            assert not fresh.waiters[0].future.done()
             assert metrics.counters["service.shed"] == 1
+
+        run(go)
+
+    def test_shed_keeps_group_for_live_joiner(self):
+        """Deadlines are per waiter: an expired leader is answered
+        ``deadline exceeded`` while its group still solves for a live
+        joiner, and stays joinable."""
+        async def go():
+            loop = asyncio.get_running_loop()
+            metrics = telemetry.Collector()
+            queue = AdmissionQueue(8, metrics)
+            group = _request(loop, deadline=loop.time() - 0.1)
+            leader = group.waiters[0]
+            assert queue.try_submit(group)
+            joiner = _waiter(loop)
+            assert queue.join(group.key, joiner)
+            assert queue.shed_expired([group], loop.time()) == [group]
+            assert leader.future.result()["error"] == "deadline exceeded"
+            assert group.waiters == [joiner] and not group.apply_only
+            assert queue.join(group.key, _waiter(loop))
+            assert metrics.counters["service.deduped"] == 2
+
+        run(go)
+
+    def test_shed_group_with_no_live_waiter_leaves_in_flight_table(self):
+        """A group whose every waiter expired applies its committed
+        state without deciding, and a later request for its key opens a
+        fresh group instead of joining a solve that will not answer."""
+        async def go():
+            loop = asyncio.get_running_loop()
+            queue = AdmissionQueue(8, telemetry.Collector())
+            carrying = _request(loop, deadline=loop.time() - 0.1)
+            carrying.install = True
+            empty = _request(
+                loop, instance=_instance(seed=5), deadline=loop.time() - 0.1
+            )
+            for group in (carrying, empty):
+                assert queue.try_submit(group)
+            alive = queue.shed_expired([carrying, empty], loop.time())
+            assert alive == [carrying]
+            assert carrying.apply_only and carrying.waiters == []
+            assert not queue.join(carrying.key, _waiter(loop))
+            assert not queue.join(empty.key, _waiter(loop))
+
+        run(go)
+
+    def test_join_until_finished(self):
+        async def go():
+            loop = asyncio.get_running_loop()
+            metrics = telemetry.Collector()
+            queue = AdmissionQueue(1, metrics)
+            group = _request(loop)
+            assert not queue.join(group.key, _waiter(loop))
+            assert queue.try_submit(group)
+            # A joiner takes no queue slot: the full queue still admits it.
+            assert queue.join(group.key, _waiter(loop))
+            assert len(group.waiters) == 2 and queue.depth == 1
+            queue.finish(group)
+            assert not queue.join(group.key, _waiter(loop))
+            assert metrics.counters["service.deduped"] == 1
 
         run(go)
 
@@ -161,7 +229,7 @@ class TestMicroBatcher:
     def _batcher(self, max_depth=64, **config):
         metrics = telemetry.Collector()
         queue = AdmissionQueue(max_depth, metrics)
-        return MicroBatcher(queue, BatchConfig(**config), metrics), queue
+        return MicroBatcher(queue, BatchConfig(**config)), queue
 
     def test_batch_closes_at_max_batch(self):
         async def go():
@@ -197,48 +265,56 @@ class TestMicroBatcher:
 
         run(go)
 
+    @staticmethod
+    def _admit(queue, loop, instance, k=2):
+        """What the server does per request: join the key's group in
+        flight, or open one."""
+        if not queue.join(_key(instance, k=k), _waiter(loop)):
+            assert queue.try_submit(_request(loop, instance=instance, k=k))
+
     def test_plan_dedupes_identical_snapshots(self):
+        """Identical snapshots collapse at admission, so the planned
+        lane holds one solve per distinct snapshot."""
         async def go():
             loop = asyncio.get_running_loop()
-            batcher, _ = self._batcher()
+            batcher, queue = self._batcher()
             shared = _instance(seed=1)
             other = _instance(seed=2)
-            batch = [
-                _request(loop, instance=shared),
-                _request(loop, instance=shared),
-                _request(loop, instance=other),
-            ]
-            lanes = batcher.plan(batch)
+            for instance in (shared, shared, other):
+                self._admit(queue, loop, instance)
+            lanes = batcher.plan(await batcher.next_batch())
             assert len(lanes) == 1
             solves = lanes[0].solves
-            assert [len(s.requests) for s in solves] == [2, 1]
-            assert batcher.metrics.counters["service.deduped"] == 1
+            assert [len(s.waiters) for s in solves] == [2, 1]
+            assert queue.metrics.counters["service.deduped"] == 1
 
         run(go)
 
     def test_plan_does_not_dedupe_across_k(self):
         async def go():
             loop = asyncio.get_running_loop()
-            batcher, _ = self._batcher()
+            batcher, queue = self._batcher()
             shared = _instance(seed=1)
-            lanes = batcher.plan([
-                _request(loop, instance=shared, k=2),
-                _request(loop, instance=shared, k=3),
-            ])
+            self._admit(queue, loop, shared, k=2)
+            self._admit(queue, loop, shared, k=3)
+            lanes = batcher.plan(await batcher.next_batch())
             assert len(lanes[0].solves) == 2
+            assert "service.deduped" not in queue.metrics.counters
 
         run(go)
 
     def test_plan_without_dedupe_keeps_every_request(self):
+        """Requests admitted without joining (``ServerConfig.dedupe``
+        off) stay one solve each, even for one key."""
         async def go():
             loop = asyncio.get_running_loop()
-            batcher, _ = self._batcher(dedupe=False)
+            batcher, _ = self._batcher()
             shared = _instance(seed=1)
             lanes = batcher.plan([
                 _request(loop, instance=shared),
                 _request(loop, instance=shared),
             ])
-            assert [len(s.requests) for s in lanes[0].solves] == [1, 1]
+            assert [len(s.waiters) for s in lanes[0].solves] == [1, 1]
 
         run(go)
 
@@ -251,7 +327,7 @@ class TestMicroBatcher:
             a2 = _request(loop, shard="a", instance=_instance(seed=3))
             lanes = {lane.shard: lane for lane in batcher.plan([a1, b1, a2])}
             assert set(lanes) == {"a", "b"}
-            assert [s.requests[0] for s in lanes["a"].solves] == [a1, a2]
-            assert [s.requests[0] for s in lanes["b"].solves] == [b1]
+            assert lanes["a"].solves == [a1, a2]
+            assert lanes["b"].solves == [b1]
 
         run(go)

@@ -87,20 +87,21 @@ class TestRebalanceOp:
 
     def test_concurrent_identical_requests_deduped(self, server):
         """Duplicate snapshots in flight together collapse into one
-        solve: every response is identical, and the engine made exactly
-        one fresh decision — batch dedupe, the response memo or the
-        engine's decision cache answered the other seven.  Counted from
-        ``status`` deltas: a memo answer carries no ``batch`` meta."""
+        solve: every response is identical, and the shard made exactly
+        one decision — the solve group or the response memo answered
+        the other seven.  Counted from ``status`` deltas: a memo answer
+        carries no ``batch`` meta."""
         inst = _instance(seed=7)
         scratch = m_partition_rebalance(inst, 2)
 
         def counts(client):
             status = client.status()
-            engine = (status["shards"].get("default") or {}).get("engine") or {}
             counters = status["metrics"]["counters"]
             return (
-                engine.get("decisions", 0) - engine.get("cache_hits", 0),
+                (status["shards"].get("default") or {}).get("decisions", 0),
                 counters.get("service.ok", 0),
+                counters.get("service.deduped", 0)
+                + counters.get("service.decision_hits", 0),
             )
 
         async def go():
@@ -117,13 +118,14 @@ class TestRebalanceOp:
                     await c.close()
 
         with ServiceClient(server.host, server.port) as client:
-            fresh_before, ok_before = counts(client)
+            fresh_before, ok_before, shared_before = counts(client)
             results = asyncio.run(go())
-            fresh_after, ok_after = counts(client)
+            fresh_after, ok_after, shared_after = counts(client)
         for result in results:
             _same_decision(result, scratch)
         assert ok_after - ok_before == 8
         assert fresh_after - fresh_before == 1
+        assert shared_after - shared_before == 7
 
     def test_repeated_snapshot_hits_server_decision_memo(self, server):
         """A repeated (shard, k, fingerprint) answers from the server's

@@ -115,35 +115,3 @@ class TestCLIWorkers:
         with pytest.raises(SystemExit):
             main(["E99", "--workers", "2"])
 
-
-class TestThreadExecutor:
-    def test_thread_matches_process_results(self):
-        items = list(range(12))
-        assert run_sweep(_square, items, workers=3, executor="thread") == [
-            x * x for x in items
-        ]
-
-    def test_thread_pool_accepts_unpicklable_callables(self):
-        # The motivating case: stateful, unpicklable objects (the
-        # service's shard engines) can't cross a process boundary.
-        seen = []
-
-        def record(x):
-            seen.append(x)
-            return x + 1
-
-        out = run_sweep(record, [1, 2, 3, 4], workers=2, executor="thread")
-        assert out == [2, 3, 4, 5]
-        assert sorted(seen) == [1, 2, 3, 4]
-
-    def test_thread_worker_telemetry_merged(self):
-        with telemetry.collect() as col:
-            run_sweep(_square, range(6), workers=2, executor="thread")
-        assert col.counters.get("square_calls") == 6
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            run_sweep(_square, [1], workers=2, executor="fiber")
-
-    def test_serial_ignores_executor_kind(self):
-        assert run_sweep(_square, [3], workers=1, executor="thread") == [9]
