@@ -62,7 +62,10 @@ from .partition import _construct, scan_thresholds
 from .result import RebalanceResult
 from .thresholds import ThresholdTables, build_tables, patch_tables, patch_tables_hint
 
-__all__ = ["ChurnHint", "EngineStats", "RebalanceEngine", "snapshot_fingerprint"]
+__all__ = [
+    "ChurnHint", "EngineStats", "RebalanceEngine", "snapshot_fingerprint",
+    "snapshot_state",
+]
 
 # A churn hint names the jobs that changed since the engine's tables
 # were last valid: (idx, old_sizes, old_costs, old_initial), with the
@@ -148,18 +151,33 @@ def snapshot_fingerprint(instance: Instance) -> bytes:
     and lands on the byte-identical digest.  The digest stays 16 opaque
     bytes; every consumer treats it as a cache key.
 
-    The digest is memoized on the instance — its arrays are read-only,
-    so the bytes can never change — which matters at service rates:
-    clients and the server both fingerprint every epoch snapshot they
-    touch, and hashing three ``n``-element arrays is an O(n) cost that
-    would otherwise recur per request instead of per snapshot.
+    The digest is memoized on the instance (see :func:`snapshot_state`)
+    — its arrays are read-only, so the bytes can never change — which
+    matters at service rates: clients and the server both fingerprint
+    every epoch snapshot they touch, and hashing three ``n``-element
+    arrays is an O(n) cost that would otherwise recur per request
+    instead of per snapshot.
     """
-    memo = instance.__dict__.get("_snapshot_digest")
-    if memo is not None:
-        return memo
-    digest = rollhash.instance_fingerprint(instance)
-    object.__setattr__(instance, "_snapshot_digest", digest)
-    return digest
+    return snapshot_state(instance).digest()
+
+
+def snapshot_state(instance: Instance) -> rollhash.RollingFingerprint:
+    """The roll-capable state behind :func:`snapshot_fingerprint`,
+    memoized on the instance.
+
+    A server seeding a resident tip from a decoded full snapshot needs
+    this state, not just the digest; taking it from the memo keeps the
+    snapshot's O(n) hash to one pass per request.  The state is shared:
+    callers that roll it must roll a :meth:`~RollingFingerprint.copy`.
+    """
+    memo = instance.__dict__.get("_snapshot_state")
+    if memo is None:
+        memo = rollhash.fingerprint_state(
+            instance.sizes, instance.costs, instance.initial,
+            instance.num_processors,
+        )
+        object.__setattr__(instance, "_snapshot_state", memo)
+    return memo
 
 
 _fingerprint = snapshot_fingerprint

@@ -650,8 +650,8 @@ class AsyncServiceClient:
     async def relay(
         self, body: bytes | bytearray | memoryview, version: int
     ) -> tuple[dict[str, Any], bytes, int]:
-        """Round-trip a raw frame *body* verbatim — the
-        zero-materialization path of the sharded-router data plane.
+        """Round-trip a raw frame *body* verbatim — the router's
+        zero-materialization path for full snapshots.
 
         Sends ``frame_header + body``, reads the response frame without
         decoding its arrays, and returns ``(response_meta, raw_response

@@ -18,13 +18,29 @@ the placement uses a consistent-hash ring (``vnodes`` points per node):
 removing one of ``N`` nodes reassigns only ``~1/N`` of the shards,
 which is the ring's analogue of the paper's bounded per-epoch moves.
 
-**Replication is delta replay.**  The client→router delta stream of
-PR 5 is already a complete, fingerprinted log of every shard's
-snapshot history, so the router replays exactly those frames at the
-shard's standby (the next distinct node clockwise on the ring) via the
-``replicate`` op: same codec, same resident tip, same ``unknown base``
-→ one-full-snapshot degradation.  The delta log *is* the replication
-log; there is no second snapshot format to keep consistent.
+**The request path is a relay.**  A full-snapshot ``rebalance`` (v2
+binary or v1 JSON) is routed on its shard alone and forwarded to the
+owner as the bytes the client sent; the owner's response bytes come
+back the same way.  The router never validates, fingerprints or
+re-encodes a full.  When the owner acknowledges a fingerprint that is
+not the shard's resident tip, the router seeds the tip from the
+request it already holds (a v2 body decodes zero-copy, a v1 body was
+parsed once for its shard), so the next delta rides the O(churn)
+passthrough: a delta whose base is the tip is applied in O(changed
+sites) and forwarded as the same frame.  Any other base answers
+``unknown base`` and costs the client one full resend, exactly as
+against a single ``serve``.  The sharded data plane's workers
+(:mod:`repro.service.dataplane`) run this same path.
+
+**Replication is replay.**  The client→router stream is already a
+complete, fingerprinted log of every shard's snapshot history, so the
+router replays it at the shard's standby (the next distinct node
+clockwise on the ring) via the ``replicate`` op: a delta as the same
+frame, a relayed v2 full as its own bytes re-addressed
+(:func:`~repro.service.protocol.replicate_body`), and a duplicate of
+the tip not at all.  A standby answering ``unknown base`` gets one
+full of the tip.  The stream *is* the replication log; there is no
+second snapshot format to keep consistent.
 
 **Failover.**  A backend death is observed either by the health loop
 (``health`` probes, ``health_misses`` strikes) or inline by a
@@ -55,25 +71,31 @@ import tempfile
 import threading
 import time
 from bisect import bisect_right
-from collections import OrderedDict, deque
+from collections import deque
+from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, AsyncIterator, Awaitable, Callable
 from zlib import crc32
 
 import numpy as np
 
 from .. import telemetry
-from ..core.engine import snapshot_fingerprint
-from ..core.instance import Instance, apply_delta
-from .client import AsyncServiceClient, Overloaded, ServiceError, _WireState
+from ..core.instance import Instance
+from .client import AsyncServiceClient, Overloaded, ServiceError
 from .resident import Frame, ResidentShard
 from .protocol import (
+    PROTOCOL_V2,
     ProtocolError,
+    decode_body,
     encode_frame,
+    encode_frame_into,
     error_response,
+    frame_header,
     ok_response,
-    read_frame_versioned,
+    peek_meta,
+    read_frame_raw,
+    replicate_body,
 )
 
 __all__ = [
@@ -204,7 +226,6 @@ class RouterConfig:
     health_misses: int = 2           # consecutive misses before death
     connections_per_backend: int = 8
     backend_timeout: float = 30.0
-    base_cache_size: int = 32        # delta bases kept per shard
     # Relay capacity pinning (the router-tier analog of ``serve
     # --solve-delay-ms``): with ``relay_concurrency`` permits each held
     # for the request plus ``relay_delay_s``, per-process rebalance
@@ -230,8 +251,6 @@ class RouterConfig:
             raise ValueError("health_misses must be positive")
         if self.connections_per_backend <= 0:
             raise ValueError("connections_per_backend must be positive")
-        if self.base_cache_size < 0:
-            raise ValueError("base_cache_size must be non-negative")
         if self.relay_concurrency < 0:
             raise ValueError("relay_concurrency must be non-negative")
         if self.relay_delay_s < 0:
@@ -262,13 +281,10 @@ class RouterConfig:
 class BackendLink:
     """The router's connection pool to one backend node.
 
-    All pooled connections share one :class:`_WireState` (binary
-    protocol, deltas on), so the delta bases this *backend* has
-    acknowledged are tracked per node, not per connection — the same
-    sharing the load generator uses, for the same reason: any
-    connection may continue another's delta stream.  Because the
-    standby's link accumulates bases through ``replicate`` frames, a
-    promoted standby keeps receiving deltas across the failover.
+    The router keeps no delta bases per backend: full snapshots travel
+    as the client's own bytes, deltas as the client's own frames, and
+    the router-originated fulls (re-replication, migration) are rare
+    enough to ship whole.  So every pooled connection speaks plain v2.
 
     The pool is *elastic*: ``connections_per_backend`` is the warm
     floor, and an empty pool grows a new connection instead of
@@ -282,7 +298,6 @@ class BackendLink:
 
     def __init__(self, spec: BackendSpec, config: RouterConfig) -> None:
         self.spec = spec
-        self.wire = _WireState("binary", True)
         self._config = config
         self._clients: list[AsyncServiceClient] = []
         self._pool: asyncio.Queue[AsyncServiceClient] = asyncio.Queue()
@@ -294,20 +309,22 @@ class BackendLink:
             self.spec.host, self.spec.port,
             timeout=self._config.backend_timeout,
             retries=0,  # the router replays on another node instead
-            wire_state=self.wire,
+            protocol="binary",
         )
         self._clients.append(client)
         return client
 
-    async def call(self, message: dict[str, Any]) -> dict[str, Any]:
-        """One round-trip on a pooled connection (no retries: a
-        transport failure is routing signal, not something to hide)."""
+    async def _round_trip(
+        self, send: Callable[[AsyncServiceClient], Awaitable[Any]]
+    ) -> Any:
+        """``send`` on a pooled connection (no retries: a transport
+        failure is routing signal, not something to hide)."""
         try:
             client = self._pool.get_nowait()
         except asyncio.QueueEmpty:
             client = self._new_client()
         try:
-            return await client.call(message)
+            return await send(client)
         except BaseException:
             # Also covers cancellation mid-frame: a half-read
             # connection must not be reused.
@@ -316,68 +333,26 @@ class BackendLink:
         finally:
             self._pool.put_nowait(client)
 
+    async def call(self, message: dict[str, Any]) -> dict[str, Any]:
+        """One decoded round-trip."""
+        return await self._round_trip(lambda client: client.call(message))
+
     async def relay(
         self, body: bytes | bytearray | memoryview, version: int
     ) -> tuple[dict[str, Any], bytes, int]:
-        """Round-trip a raw frame body verbatim on a pooled connection
-        (see :meth:`AsyncServiceClient.relay`) — the data-plane
-        worker's zero-materialization forward."""
-        try:
-            client = self._pool.get_nowait()
-        except asyncio.QueueEmpty:
-            client = self._new_client()
-        try:
-            return await client.relay(body, version)
-        except BaseException:
-            await client.close()
-            raise
-        finally:
-            self._pool.put_nowait(client)
-
-    async def solve(
-        self,
-        shard: str,
-        k: int,
-        instance: Instance,
-        deadline_ms: float | None,
-        moves_only: bool = False,
-    ) -> dict[str, Any]:
-        """Forward one rebalance, delta-encoded against what this
-        backend last acknowledged; ``unknown base`` falls back to one
-        full snapshot exactly as the direct client path does."""
-        message, sent_delta = self.wire.rebalance_message(
-            instance, k, shard, deadline_ms, moves_only=moves_only
+        """Round-trip a raw frame body verbatim (see
+        :meth:`AsyncServiceClient.relay`) — the router's
+        zero-materialization forward."""
+        return await self._round_trip(
+            lambda client: client.relay(body, version)
         )
-        response = await self.call(message)
-        if sent_delta and response.get("error") == "unknown base":
-            self.wire.forget(shard)
-            message, _ = self.wire.rebalance_message(
-                instance, k, shard, deadline_ms, full=True,
-                moves_only=moves_only,
-            )
-            response = await self.call(message)
-        if response.get("ok"):
-            self.wire.note_response(shard, instance, response)
-        return response
 
-    async def replicate(
-        self, shard: str, k: int, instance: Instance
-    ) -> dict[str, Any]:
-        """Replay one snapshot of the shard's delta log at this node
+    async def replicate(self, shard: str, instance: Instance) -> dict[str, Any]:
+        """Install ``instance`` as the shard's tip at this node
         (install-only, no solve)."""
-        message, sent_delta = self.wire.rebalance_message(
-            instance, k, shard, None, op="replicate"
+        return await self.call(
+            {"op": "replicate", "shard": shard, "instance": instance.to_wire()}
         )
-        response = await self.call(message)
-        if sent_delta and response.get("error") == "unknown base":
-            self.wire.forget(shard)
-            message, _ = self.wire.rebalance_message(
-                instance, k, shard, None, full=True, op="replicate"
-            )
-            response = await self.call(message)
-        if response.get("ok"):
-            self.wire.note_response(shard, instance, response)
-        return response
 
     async def close(self) -> None:
         for client in self._clients:
@@ -394,15 +369,14 @@ REPL_QUEUE_CAP = 64
 class _ShardRuntime:
     """The router's per-shard bookkeeping.
 
-    ``latest`` is ``(fingerprint hex, k)`` — the snapshot itself lives
-    in the shard's :class:`~repro.service.resident.ResidentShard` and
-    is exported on demand (migration, full replication) instead of
-    being retained per request.  ``repl_queue`` holds ``("delta",
-    wire_delta, k)`` frames to replay at the standby in order, or one
-    ``("full", k)`` marker meaning "ship the current tip".
+    The snapshot itself lives in the shard's
+    :class:`~repro.service.resident.ResidentShard`.  ``repl_queue``
+    holds ``("delta", wire_delta)`` frames to replay at the standby in
+    order, or one ``("full", body)`` entry meaning "ship the tip":
+    ``body`` is the tip's relayed v2 request body, or ``None`` to
+    export the resident instead.
     """
 
-    latest: tuple[str, int] | None = None
     inflight: int = 0
     gate: asyncio.Event | None = None      # cleared while migrating
     drained: asyncio.Event | None = None   # set when inflight hits 0
@@ -431,13 +405,10 @@ class ClusterRouter:
         # Routing overrides from live migration: shard -> node.  An
         # override to a dead node is dropped with the node.
         self._overrides: dict[str, str] = {}
-        # The router's own decode state: per-shard delta bases (the
-        # client's delta stream terminates here and is re-originated
-        # per backend) and per-shard runtime bookkeeping.  The resident
-        # is the steady-state tip: a delta whose base names it is
+        # Per shard: the resident tip (a delta whose base names it is
         # applied in O(changed sites) and forwarded as the same frame,
-        # so no Instance materializes anywhere on the hot path.
-        self._bases: dict[str, OrderedDict[str, Instance]] = {}
+        # so no Instance materializes anywhere on the hot path) and the
+        # runtime bookkeeping.
         self._residents: dict[str, ResidentShard] = {}
         self._shards: dict[str, _ShardRuntime] = {}
         self._server: asyncio.AbstractServer | None = None
@@ -509,7 +480,7 @@ class ClusterRouter:
 
     def _mark_dead(self, node: str, reason: str) -> None:
         """Take a node out of the ring (idempotent).  Routing
-        re-resolves to the standby; its replica bases make the first
+        re-resolves to the standby; its replicated tip makes the first
         failover request a delta, not a cold full snapshot."""
         if node in self._dead or node not in self._specs:
             return
@@ -528,12 +499,10 @@ class ClusterRouter:
             if target == node:
                 del self._overrides[shard]
         for shard in affected:
-            runtime = self._runtime(shard)
-            k = runtime.latest[1] if runtime.latest is not None else 2
             # A full of the current tip both replaces anything queued
             # for the dead standby and seeds the new one.
             self.metrics.add("router.rereplications")
-            self._enqueue_replication(shard, ("full", k))
+            self._enqueue_replication(shard, ("full", None))
 
     async def _health_loop(self) -> None:
         while True:
@@ -565,39 +534,21 @@ class ClusterRouter:
             runtime = self._shards[shard] = _ShardRuntime()
         return runtime
 
-    def _remember_base(self, shard: str, fp_hex: str, instance: Instance) -> None:
-        if self.config.base_cache_size == 0:
-            return
-        bases = self._bases.setdefault(shard, OrderedDict())
-        bases[fp_hex] = instance
-        bases.move_to_end(fp_hex)
-        while len(bases) > self.config.base_cache_size:
-            bases.popitem(last=False)
-
-    def _materialize(
-        self, shard: str, message: dict[str, Any]
-    ) -> tuple[Instance, str] | dict[str, Any]:
-        """Decode the request's snapshot (full or delta) against the
-        router's base LRU; an unknown base is the client's cue to fall
-        back to a full snapshot, exactly as against a single node."""
-        delta = message.get("delta")
-        if delta is not None:
-            base_hex = str(delta.get("base", ""))
-            base = self._bases.get(shard, {}).get(base_hex)
-            if base is None:
-                self.metrics.add("router.delta_misses")
-                return error_response("unknown base", shard=shard)
-            instance = apply_delta(base, {
-                "idx": np.asarray(delta["idx"], dtype=np.int64),
-                "sizes": np.asarray(delta["sizes"], dtype=np.float64),
-                "costs": np.asarray(delta["costs"], dtype=np.float64),
-                "initial": np.asarray(delta["initial"], dtype=np.int64),
-            })
-        else:
-            instance = Instance.from_dict(message["instance"])
-        fp_hex = snapshot_fingerprint(instance).hex()
-        self._remember_base(shard, fp_hex, instance)
-        return instance, fp_hex
+    @asynccontextmanager
+    async def _in_flight(self, shard: str) -> AsyncIterator[_ShardRuntime]:
+        """Count one request in the shard's lane.  A migration that is
+        flipping the shard's routing holds the request until the flip
+        instead of racing it, and waits for the count to drain."""
+        runtime = self._runtime(shard)
+        if runtime.gate is not None:
+            await runtime.gate.wait()
+        runtime.inflight += 1
+        try:
+            yield runtime
+        finally:
+            runtime.inflight -= 1
+            if runtime.inflight == 0 and runtime.drained is not None:
+                runtime.drained.set()
 
     # -- request path ---------------------------------------------------
     def _owner(self, shard: str) -> str | None:
@@ -606,26 +557,27 @@ class ClusterRouter:
             return override
         return self.ring.owner(shard)
 
-    async def _route_solve(
-        self,
-        shard: str,
-        k: int,
-        instance: Instance,
-        deadline_ms: float | None,
-        moves_only: bool,
-    ) -> dict[str, Any]:
-        """Forward to the shard's owner; on a transport failure,
-        declare the node dead and replay on the re-resolved owner."""
+    def _misroute(self, shard: str) -> dict[str, Any] | None:
+        """The response to answer instead of serving ``shard`` here, or
+        ``None`` to serve it.  This router serves every shard; a
+        data-plane worker answers its ``moved`` redirect instead."""
+        return None
+
+    async def _route(
+        self, shard: str, send: Callable[[BackendLink], Awaitable[Any]]
+    ) -> Any:
+        """``send`` to the shard's owner; on a transport failure,
+        declare the node dead and replay on the re-resolved owner (a
+        rebalance is a pure function of ``(snapshot, k)``, so the
+        replay is idempotent)."""
         last_error: Exception | None = None
         for _ in range(len(self._specs) + 1):
             node = self._owner(shard)
             if node is None:
                 break
-            link = self._links[node]
             try:
                 return await asyncio.wait_for(
-                    link.solve(shard, k, instance, deadline_ms, moves_only),
-                    self.config.backend_timeout,
+                    send(self._links[node]), self.config.backend_timeout
                 )
             except Overloaded as exc:
                 # Backpressure passes through untouched: the client's
@@ -645,16 +597,91 @@ class ClusterRouter:
         detail = f": {last_error}" if last_error is not None else ""
         return error_response("no backends alive", message=f"routing failed{detail}")
 
+    async def _relay_route(
+        self, shard: str, body: bytes, version: int
+    ) -> tuple[dict[str, Any], bytes, int] | dict[str, Any]:
+        """Raw request bytes to the shard's owner: the raw response, or
+        an error response when no backend is alive."""
+        return await self._route(shard, lambda link: link.relay(body, version))
+
+    async def _relay_rebalance(
+        self,
+        shard: str,
+        message: dict[str, Any],
+        body: bytes,
+        version: int,
+        scratch: bytearray,
+    ) -> bytes | memoryview:
+        """Forward a full snapshot verbatim: raw request bytes to the
+        owner, raw response bytes back.  The owner's fingerprint of the
+        same bytes needs no re-stamp, and a malformed full comes back
+        as the owner's ``bad request``.  ``message`` is the request as
+        routed: a v2 body's meta, or the whole parsed v1 message."""
+        self.metrics.add("router.requests")
+        self.metrics.add("router.relayed_fulls")
+        if not await self._relay_admit():
+            return encode_frame_into(
+                self._relay_rejection(), scratch, version=version
+            )
+        try:
+            async with self._in_flight(shard):
+                outcome = await self._relay_route(shard, body, version)
+        finally:
+            await self._relay_release()
+        if isinstance(outcome, dict):
+            return encode_frame_into(outcome, scratch, version=version)
+        resp_meta, resp_body, resp_version = outcome
+        fp_hex = resp_meta.get("fingerprint")
+        if resp_meta.get("ok") and isinstance(fp_hex, str):
+            self._seed_resident(shard, fp_hex, message, body, version)
+        return b"".join(
+            (frame_header(len(resp_body), version=resp_version), resp_body)
+        )
+
+    def _seed_resident(
+        self,
+        shard: str,
+        fp_hex: str,
+        message: dict[str, Any],
+        body: bytes,
+        version: int,
+    ) -> None:
+        """Make an acknowledged full the shard's tip, so the next delta
+        rides the O(churn) passthrough, and queue it for the standby
+        (a v2 full as its own bytes).  A duplicate of the tip — steady
+        resends, a second frontend — decodes and replicates nothing."""
+        res = self._residents.get(shard)
+        if res is not None and res.fp_hex == fp_hex:
+            return
+        try:
+            if version == PROTOCOL_V2:
+                message = decode_body(body, version)
+            wire = message["instance"]
+            # The owner's ok is the validation: it decoded these bytes.
+            instance = Instance.trusted(
+                np.asarray(wire["sizes"], dtype=np.float64),
+                np.asarray(wire["costs"], dtype=np.float64),
+                int(wire["num_processors"]),
+                np.asarray(wire["initial"], dtype=np.int64),
+            )
+        except (ProtocolError, KeyError, TypeError, ValueError):
+            return  # never let bookkeeping break the relayed reply
+        self._residents[shard] = ResidentShard(instance)
+        self._enqueue_replication(
+            shard, ("full", body if version == PROTOCOL_V2 else None)
+        )
+
     async def _op_rebalance(self, message: dict[str, Any]) -> dict[str, Any]:
-        """Client-facing rebalance, behind the relay capacity gate when
-        one is configured: each request holds a permit for its service
-        time *plus* ``relay_delay_s``, so per-process capacity is
-        ``relay_concurrency / (service + delay)`` by construction —
+        """Client-facing delta rebalance, behind the relay capacity gate
+        when one is configured: each request holds a permit for its
+        service time *plus* ``relay_delay_s``, so per-process capacity
+        is ``relay_concurrency / (service + delay)`` by construction —
         host-core-independent, which is what lets E19 pin worker
         capacity the way ``serve --solve-delay-ms`` pins backend
         capacity.  ``relay_queue`` bounds the waiters; past it the
         router answers ``overloaded`` (bounded p99 instead of an
-        unbounded queue)."""
+        unbounded queue).  Full snapshots take the same gate on the
+        relay."""
         if not await self._relay_admit():
             return self._relay_rejection()
         try:
@@ -692,56 +719,25 @@ class ClusterRouter:
         )
 
     async def _rebalance_gated(self, message: dict[str, Any]) -> dict[str, Any]:
+        """A delta rides the passthrough when its base is the shard's
+        resident tip.  Any other base answers ``unknown base`` and the
+        client resends one full snapshot — ``serve``'s own contract."""
         self.metrics.add("router.requests")
         try:
             shard = str(message.get("shard", "default"))
             k = int(message.get("k", 2))
             delta = message.get("delta")
-            if delta is not None:
-                if not isinstance(delta, dict):
-                    raise TypeError("delta must be an object")
-                res = self._residents.get(shard)
-                if res is not None and str(delta.get("base", "")) == res.fp_hex:
-                    return await self._op_rebalance_delta(
-                        shard, k, message, res, delta
-                    )
-            materialized = self._materialize(shard, message)
-        except (KeyError, TypeError, ValueError) as exc:
+            if not isinstance(delta, dict):
+                raise TypeError("delta must be an object")
+            base = str(delta.get("base", ""))
+        except (TypeError, ValueError) as exc:
             self.metrics.add("router.bad_requests")
             return error_response("bad request", message=str(exc))
-        if isinstance(materialized, dict):
-            return materialized  # unknown base
-        instance, fp_hex = materialized
-
-        # (Re)seed the resident so the next delta rides the O(churn)
-        # passthrough instead of materializing here again.
         res = self._residents.get(shard)
-        if res is None or res.fp_hex != fp_hex:
-            self._residents[shard] = ResidentShard(instance)
-        runtime = self._runtime(shard)
-        runtime.latest = (fp_hex, k)
-        if runtime.gate is not None:
-            # A migration is flipping this shard's routing: hold the
-            # request until the flip instead of racing it.
-            await runtime.gate.wait()
-        runtime.inflight += 1
-        try:
-            response = await self._route_solve(
-                shard, k, instance, message.get("deadline_ms"),
-                bool(message.get("moves_only", False)),
-            )
-        finally:
-            runtime.inflight -= 1
-            if runtime.inflight == 0 and runtime.drained is not None:
-                runtime.drained.set()
-        if response.get("ok"):
-            # Re-stamp the fingerprint the router's own base LRU uses
-            # (bit-identical to the backend's — same snapshot, same
-            # hash — but the client's delta stream terminates *here*).
-            response = dict(response)
-            response["fingerprint"] = fp_hex
-            self._enqueue_replication(shard, ("full", k))
-        return response
+        if res is None or base != res.fp_hex:
+            self.metrics.add("router.delta_misses")
+            return error_response("unknown base", shard=shard)
+        return await self._op_rebalance_delta(shard, k, message, res, delta)
 
     async def _op_rebalance_delta(
         self,
@@ -766,18 +762,10 @@ class ClusterRouter:
         base_hex = res.fp_hex
         fp_hex = fp.digest().hex()
         self.metrics.add("router.resident_deltas")
-        runtime = self._runtime(shard)
-        if runtime.gate is not None:
-            await runtime.gate.wait()
-        runtime.inflight += 1
-        try:
+        async with self._in_flight(shard):
             response = await self._route_delta_solve(
                 shard, k, message, res, frame
             )
-        finally:
-            runtime.inflight -= 1
-            if runtime.inflight == 0 and runtime.drained is not None:
-                runtime.drained.set()
         if response.get("ok"):
             response = dict(response)
             response["fingerprint"] = fp_hex
@@ -786,8 +774,7 @@ class ClusterRouter:
                 # loop per-shard traffic never does): advance it and
                 # replay the identical frame at the standby.
                 res.commit(frame, fp)
-                runtime.latest = (fp_hex, k)
-                self._enqueue_replication(shard, ("delta", delta, k))
+                self._enqueue_replication(shard, ("delta", delta))
             else:
                 # The tip moved underneath the forward (two deltas on
                 # one shard raced): this response's fingerprint names a
@@ -818,10 +805,10 @@ class ClusterRouter:
         frame: Frame,
     ) -> dict[str, Any]:
         """Forward the delta frame verbatim, with the same failover
-        replay as :meth:`_route_solve`.  A backend that lost (or, as a
-        freshly promoted standby, never finished absorbing) the lineage
-        answers ``unknown base`` and gets the post-frame state as one
-        full snapshot instead."""
+        replay as the relay.  A backend that lost (or, as a freshly
+        promoted standby, never finished absorbing) the lineage answers
+        ``unknown base`` and gets the post-frame state as one full
+        snapshot instead."""
         forward: dict[str, Any] = {
             "op": "rebalance", "shard": shard, "k": k,
             "delta": message["delta"],
@@ -829,36 +816,18 @@ class ClusterRouter:
         for key in ("deadline_ms", "moves_only"):
             if key in message:
                 forward[key] = message[key]
-        last_error: Exception | None = None
-        for _ in range(len(self._specs) + 1):
-            node = self._owner(shard)
-            if node is None:
-                break
-            link = self._links[node]
-            try:
-                response = await asyncio.wait_for(
-                    link.call(forward), self.config.backend_timeout
-                )
-                if response.get("error") == "unknown base":
-                    self.metrics.add("router.delta_fallbacks")
-                    full = dict(forward)
-                    del full["delta"]
-                    full["instance"] = self._post_instance(res, frame).to_wire()
-                    response = await asyncio.wait_for(
-                        link.call(full), self.config.backend_timeout
-                    )
-                return response
-            except Overloaded as exc:
-                return exc.response
-            except (OSError, ProtocolError, asyncio.TimeoutError) as exc:
-                # Transport failures only, as in _route_solve: error
-                # responses from a live backend are not failover signal.
-                last_error = exc
-                self._mark_dead(node, "transport")
-                self.metrics.add("router.failover_replays")
-                continue
-        detail = f": {last_error}" if last_error is not None else ""
-        return error_response("no backends alive", message=f"routing failed{detail}")
+
+        async def send(link: BackendLink) -> dict[str, Any]:
+            response = await link.call(forward)
+            if response.get("error") == "unknown base":
+                self.metrics.add("router.delta_fallbacks")
+                full = dict(forward)
+                del full["delta"]
+                full["instance"] = self._post_instance(res, frame).to_wire()
+                response = await link.call(full)
+            return response
+
+        return await self._route(shard, send)
 
     # -- replication ----------------------------------------------------
     def _standby_for(self, shard: str) -> str | None:
@@ -868,13 +837,13 @@ class ClusterRouter:
     def _enqueue_replication(self, shard: str, entry: tuple) -> None:
         """Queue one replication step for the shard's standby.
 
-        ``("delta", wire_delta, k)`` replays the exact client frame —
+        ``("delta", wire_delta)`` replays the exact client frame —
         O(churn) at both ends, in commit order (the queue is FIFO and
-        one drain task owns it).  ``("full", k)`` ships the current
-        resident tip; it subsumes everything queued, so it clears the
-        queue, and a queue past :data:`REPL_QUEUE_CAP` collapses into
-        one — a lagging standby skips intermediate states rather than
-        holding an unbounded log.
+        one drain task owns it).  ``("full", body)`` ships the tip (see
+        :meth:`_replicate_full`); it subsumes everything queued, so it
+        clears the queue, and a queue past :data:`REPL_QUEUE_CAP`
+        collapses into one — a lagging standby skips intermediate
+        states rather than holding an unbounded log.
         """
         if not self.config.replicate:
             return
@@ -886,9 +855,8 @@ class ClusterRouter:
             queue.clear()
         queue.append(entry)
         if len(queue) > REPL_QUEUE_CAP:
-            k = entry[-1]
             queue.clear()
-            queue.append(("full", k))
+            queue.append(("full", None))
             self.metrics.add("router.replication_collapses")
         if runtime.repl_task is None or runtime.repl_task.done():
             runtime.repl_task = asyncio.create_task(self._drain_replication(shard))
@@ -912,11 +880,11 @@ class ClusterRouter:
             link = self._links.get(standby)
             if link is None or standby not in self.ring:
                 continue
+            kind, payload = entry
             try:
-                if entry[0] == "delta":
-                    _, delta, k = entry
+                if kind == "delta":
                     response = await link.call(
-                        {"op": "replicate", "shard": shard, "delta": delta}
+                        {"op": "replicate", "shard": shard, "delta": payload}
                     )
                     if (
                         not response.get("ok")
@@ -926,10 +894,9 @@ class ClusterRouter:
                         # missed frames): one full of the current tip
                         # subsumes this frame and the rest of the queue.
                         runtime.repl_queue.clear()
-                        response = await self._replicate_full(link, shard, k)
+                        response = await self._replicate_full(link, shard, None)
                 else:
-                    _, k = entry
-                    response = await self._replicate_full(link, shard, k)
+                    response = await self._replicate_full(link, shard, payload)
                 if response.get("ok"):
                     self.metrics.add("router.replicated")
                 else:
@@ -940,28 +907,28 @@ class ClusterRouter:
                 self.metrics.add("router.replication_errors")
 
     async def _replicate_full(
-        self, link: BackendLink, shard: str, k: int
+        self, link: BackendLink, shard: str, body: bytes | None
     ) -> dict[str, Any]:
-        """Ship the shard's current tip to ``link`` as one snapshot."""
+        """Ship the shard's tip to ``link`` as one snapshot: the tip's
+        relayed v2 request ``body`` re-addressed as a ``replicate`` (no
+        decode, no encode), or without one an export of the resident."""
+        if body is not None:
+            meta, _, _ = await link.relay(replicate_body(body, shard), PROTOCOL_V2)
+            return meta
         res = self._residents.get(shard)
-        if res is not None:
-            instance = res.export_instance()
-        else:
-            bases = self._bases.get(shard)
-            if not bases:
-                return error_response("no snapshot", shard=shard)
-            instance = bases[next(reversed(bases))]
-        return await link.replicate(shard, k, instance)
+        if res is None:
+            return error_response("no snapshot", shard=shard)
+        return await link.replicate(shard, res.export_instance())
 
     # -- live migration -------------------------------------------------
     async def migrate(self, shard: str, target: str) -> dict[str, Any]:
         """Move a shard to ``target``: drain, ship the snapshot, flip.
 
         The gate closes the shard's lane to new requests; once the
-        in-flight count drains to zero the latest base snapshot (plus
-        its warm-engine fingerprint, which *is* the snapshot's
-        fingerprint) is shipped to the target as one ``replicate``
-        frame, the routing override flips, and the gate reopens.
+        in-flight count drains to zero the resident tip (whose
+        fingerprint *is* the warm engine's key) is shipped to the
+        target as one ``replicate`` frame, the routing override flips,
+        and the gate reopens.
         """
         if target not in self.ring:
             return error_response("unknown backend", backend=target)
@@ -975,19 +942,18 @@ class ClusterRouter:
                 runtime.drained = asyncio.Event()
                 await runtime.drained.wait()
                 runtime.drained = None
-            snapshot: tuple[str, Instance, int] | None = None
+            snapshot: tuple[str, Instance] | None = None
             res = self._residents.get(shard)
-            if res is not None and runtime.latest is not None:
+            if res is not None:
                 # Materialize-on-demand: the tip lives in the resident
                 # arrays, exported only for this migration frame.
-                snapshot = (res.fp_hex, res.export_instance(), runtime.latest[1])
-            if snapshot is None and source is not None:
+                snapshot = (res.fp_hex, res.export_instance())
+            elif source is not None:
                 snapshot = await self._fetch_latest(source, shard)
             fp_hex = None
             if snapshot is not None:
-                fp_hex, instance, k = snapshot
-                link = self._links[target]
-                response = await link.replicate(shard, k, instance)
+                fp_hex, instance = snapshot
+                response = await self._links[target].replicate(shard, instance)
                 if not response.get("ok"):
                     return error_response(
                         "migration failed", shard=shard,
@@ -1005,9 +971,9 @@ class ClusterRouter:
 
     async def _fetch_latest(
         self, node: str, shard: str
-    ) -> tuple[str, Instance, int] | None:
-        """Pull the shard's newest base from its current owner (the
-        router restarted, or never saw the shard's traffic)."""
+    ) -> tuple[str, Instance] | None:
+        """Pull the shard's tip from its current owner (the router
+        restarted, or never saw the shard's traffic)."""
         link = self._links.get(node)
         if link is None:
             return None
@@ -1018,7 +984,7 @@ class ClusterRouter:
         if not response.get("ok") or not response.get("found"):
             return None
         instance = Instance.from_dict(response["instance"])
-        return str(response["fingerprint"]), instance, 2
+        return str(response["fingerprint"]), instance
 
     # -- aggregate ops --------------------------------------------------
     async def _op_status(self) -> dict[str, Any]:
@@ -1061,16 +1027,17 @@ class ClusterRouter:
                 continue
             if response.get("ok"):
                 reset.update(response.get("reset", []))
-            link.wire.forget(None if shard is None else str(shard))
+        self._forget(shard)
+        return ok_response(reset=sorted(reset))
+
+    def _forget(self, shard: Any) -> None:
+        """Drop the router's state for ``shard`` (``None``: every shard)."""
         if shard is None:
-            self._bases.clear()
             self._residents.clear()
             self._shards.clear()
         else:
-            self._bases.pop(str(shard), None)
             self._residents.pop(str(shard), None)
             self._shards.pop(str(shard), None)
-        return ok_response(reset=sorted(reset))
 
     def _op_health(self) -> dict[str, Any]:
         return ok_response(
@@ -1107,23 +1074,24 @@ class ClusterRouter:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.metrics.add("router.connections")
+        # One reusable encode buffer per connection: asyncio's
+        # transport copies on write(), so the buffer is free again
+        # after the drain.
+        scratch = bytearray()
         try:
             while True:
                 try:
-                    frame = await read_frame_versioned(reader)
+                    raw = await read_frame_raw(reader)
                 except ProtocolError as exc:
                     self.metrics.add("router.protocol_errors")
                     writer.write(encode_frame(error_response(
                         "protocol error", message=str(exc))))
                     await writer.drain()
                     break
-                if frame is None:
+                if raw is None:
                     break
-                message, version = frame
-                response = await self._dispatch(message)
-                # Answer in the format the request arrived in, like the
-                # single-node server: the router is a drop-in endpoint.
-                writer.write(encode_frame(response, version=version))
+                body, version = raw
+                writer.write(await self._serve_raw(body, version, scratch))
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -1133,6 +1101,45 @@ class ClusterRouter:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
+
+    async def _serve_raw(
+        self, body: bytes, version: int, scratch: bytearray
+    ) -> bytes | memoryview:
+        """Serve one raw frame body; the response bytes to write.
+
+        A ``rebalance`` or ``migrate`` for a shard served elsewhere gets
+        :meth:`_misroute`'s answer.  A full-snapshot ``rebalance`` takes
+        the verbatim relay, routed on a v2 body's meta JSON alone
+        (:func:`~repro.service.protocol.peek_meta`) or on the one parse
+        of a v1 body.  Everything else (deltas, admin ops) decodes and
+        dispatches.  Answers go out in the request's format, like the
+        single-node server: the router is a drop-in endpoint.
+        """
+        try:
+            if version == PROTOCOL_V2:
+                message = peek_meta(body)
+            else:
+                message = decode_body(body, version)
+            op = message.get("op")
+            if op in ("rebalance", "migrate"):
+                shard = str(message.get("shard", "default"))
+                miss = self._misroute(shard)
+                if miss is not None:
+                    return encode_frame_into(miss, scratch, version=version)
+                if op == "rebalance" and message.get("delta") is None:
+                    return await self._relay_rebalance(
+                        shard, message, body, version, scratch
+                    )
+            if version == PROTOCOL_V2:
+                message = decode_body(body, version)
+        except ProtocolError as exc:
+            self.metrics.add("router.protocol_errors")
+            return encode_frame_into(
+                error_response("protocol error", message=str(exc)),
+                scratch, version=version,
+            )
+        response = await self._dispatch(message)
+        return encode_frame_into(response, scratch, version=version)
 
 
 # ----------------------------------------------------------------------

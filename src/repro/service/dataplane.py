@@ -30,15 +30,18 @@ matter how many backends exist behind it.  This module splits it::
   reconnects to the owner's private port (cached per shard in
   ``_WireState.ports``; a stale cache entry falls back to the shared
   port on transport failure, which re-redirects).
-* **The hot path is a relay**: a v2 full-snapshot ``rebalance`` is
-  routed by peeking shard/k from the meta JSON alone
-  (:func:`~repro.service.protocol.peek_meta`), the raw body is
-  forwarded to the backend verbatim, and the backend's raw response is
-  relayed back verbatim — no ``Instance`` materializes unless the
-  acknowledged fingerprint is new (then the resident tip is seeded
-  once so the next delta rides the O(churn) passthrough).  Responses
-  the worker builds itself reuse one preallocated encode buffer per
-  connection (:func:`~repro.service.protocol.encode_frame_into`).
+* **The hot path is a relay**, in every topology (it is
+  :class:`~repro.service.cluster.ClusterRouter`'s one request path): a
+  full-snapshot ``rebalance`` is routed on its shard alone (a v2 meta
+  JSON peeked by :func:`~repro.service.protocol.peek_meta`, a v1 body
+  parsed once), the raw body is forwarded to the backend verbatim, and
+  the backend's raw response is relayed back verbatim.  No
+  ``Instance`` is validated or re-encoded; only an acknowledged
+  fingerprint that is not the tip seeds the resident, so the next
+  delta rides the O(churn) passthrough, and reaches the standby as the
+  same v2 bytes re-addressed.  Responses the router builds itself
+  reuse one preallocated encode buffer per connection
+  (:func:`~repro.service.protocol.encode_frame_into`).
 * **Control decisions** travel over spawn-context pipes
   (:func:`~repro.parallel.spawn_piped_process`): the control plane
   broadcasts backend deaths and the worker-port table; workers report
@@ -68,23 +71,10 @@ from typing import Any
 from zlib import crc32
 
 from .. import telemetry
-from ..core.instance import Instance
 from ..parallel import spawn_piped_process
 from .client import AsyncServiceClient, ServiceClient, ServiceError
 from .cluster import BackendLink, ClusterRouter, RouterConfig
-from .protocol import (
-    PROTOCOL_V2,
-    ProtocolError,
-    decode_body,
-    encode_frame,
-    encode_frame_into,
-    error_response,
-    frame_header,
-    ok_response,
-    peek_meta,
-    read_frame_raw,
-)
-from .resident import ResidentShard
+from .protocol import ProtocolError, error_response, ok_response
 
 __all__ = [
     "RouterWorker",
@@ -140,8 +130,11 @@ class RouterWorker(ClusterRouter):
 
     Differences from the single-process router: no health loop (the
     control plane probes and broadcasts deaths), a second *direct*
-    listener for redirected clients and peer ops, a raw-relay fast
-    path for v2 full snapshots, and merged ``status``/fanned ``reset``.
+    listener for redirected clients and peer ops, the ``moved``
+    redirect (:meth:`_misroute`), and merged ``status``/fanned
+    ``reset``.  The request path itself — the verbatim relay of full
+    snapshots and the O(churn) delta passthrough — is the base
+    class's.
     """
 
     def __init__(
@@ -245,182 +238,9 @@ class RouterWorker(ClusterRouter):
             )
         return error_response("moved", shard=shard, port=port)
 
-    # -- raw connection handling (relay fast path) ----------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.metrics.add("router.connections")
-        # One reusable encode buffer per connection: asyncio's
-        # transport copies on write(), so the buffer is free again
-        # after the drain.
-        scratch = bytearray()
-        try:
-            while True:
-                try:
-                    raw = await read_frame_raw(reader)
-                except ProtocolError as exc:
-                    self.metrics.add("router.protocol_errors")
-                    writer.write(encode_frame(error_response(
-                        "protocol error", message=str(exc))))
-                    await writer.drain()
-                    break
-                if raw is None:
-                    break
-                body, version = raw
-                writer.write(await self._serve_raw(body, version, scratch))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    async def _serve_raw(
-        self, body: bytes, version: int, scratch: bytearray
-    ) -> bytes | memoryview:
-        """Serve one raw frame body; the response bytes to write.
-
-        A v2 ``rebalance`` is routed from the meta JSON alone; full
-        snapshots for shards this worker owns take the verbatim relay.
-        Everything else (deltas on the resident tip, v1 JSON, admin
-        ops) decodes and dispatches exactly as the single-process
-        router does.
-        """
-        if version == PROTOCOL_V2:
-            try:
-                meta = peek_meta(body)
-            except ProtocolError as exc:
-                self.metrics.add("router.protocol_errors")
-                return encode_frame_into(
-                    error_response("protocol error", message=str(exc)),
-                    scratch, version=version,
-                )
-            if meta.get("op") == "rebalance":
-                shard = str(meta.get("shard", "default"))
-                miss = self._misroute(shard)
-                if miss is not None:
-                    return encode_frame_into(miss, scratch, version=version)
-                if "delta" not in meta and "instance" in meta:
-                    return await self._relay_rebalance(
-                        shard, meta, body, version, scratch
-                    )
-        try:
-            message = decode_body(body, version)
-        except ProtocolError as exc:
-            self.metrics.add("router.protocol_errors")
-            return encode_frame_into(
-                error_response("protocol error", message=str(exc)),
-                scratch, version=version,
-            )
-        response = await self._dispatch(message)
-        return encode_frame_into(response, scratch, version=version)
-
-    async def _relay_rebalance(
-        self,
-        shard: str,
-        meta: dict[str, Any],
-        body: bytes,
-        version: int,
-        scratch: bytearray,
-    ) -> bytes | memoryview:
-        """Zero-materialization forward of a v2 full snapshot: raw
-        request bytes to the owner, raw response bytes back (a full's
-        fingerprint is bit-identical whether this worker or the
-        backend computes it, so no re-stamp is needed)."""
-        self.metrics.add("router.requests")
-        self.metrics.add("router.relayed_fulls")
-        try:
-            k = int(meta.get("k", 2))
-        except (TypeError, ValueError):
-            self.metrics.add("router.bad_requests")
-            return encode_frame_into(
-                error_response("bad request", message="k must be an integer"),
-                scratch, version=version,
-            )
-        if not await self._relay_admit():
-            return encode_frame_into(
-                self._relay_rejection(), scratch, version=version
-            )
-        try:
-            runtime = self._runtime(shard)
-            if runtime.gate is not None:
-                await runtime.gate.wait()
-            runtime.inflight += 1
-            try:
-                outcome = await self._relay_route(shard, body, version)
-            finally:
-                runtime.inflight -= 1
-                if runtime.inflight == 0 and runtime.drained is not None:
-                    runtime.drained.set()
-        finally:
-            await self._relay_release()
-        if isinstance(outcome, dict):
-            return encode_frame_into(outcome, scratch, version=version)
-        resp_meta, resp_body, resp_version = outcome
-        if resp_meta.get("ok"):
-            fp_hex = resp_meta.get("fingerprint")
-            if isinstance(fp_hex, str):
-                self._seed_resident(shard, fp_hex, k, body)
-        return b"".join(
-            (frame_header(len(resp_body), version=resp_version), resp_body)
-        )
-
-    async def _relay_route(
-        self, shard: str, body: bytes, version: int
-    ) -> tuple[dict[str, Any], bytes, int] | dict[str, Any]:
-        """The relay's failover loop — same shape as ``_route_solve``:
-        transport failures (only) declare the node dead and replay the
-        identical bytes on the re-resolved owner."""
-        last_error: Exception | None = None
-        for _ in range(len(self._specs) + 1):
-            node = self._owner(shard)
-            if node is None:
-                break
-            link = self._links[node]
-            try:
-                return await asyncio.wait_for(
-                    link.relay(body, version), self.config.backend_timeout
-                )
-            except (OSError, ProtocolError, asyncio.TimeoutError) as exc:
-                last_error = exc
-                self._mark_dead(node, "transport")
-                self.metrics.add("router.failover_replays")
-                continue
-        detail = f": {last_error}" if last_error is not None else ""
-        return error_response(
-            "no backends alive", message=f"routing failed{detail}"
-        )
-
-    def _seed_resident(
-        self, shard: str, fp_hex: str, k: int, body: bytes
-    ) -> None:
-        """(Re)seed the resident tip from the relayed request's own
-        bytes so the next delta rides the O(churn) passthrough.  When
-        the tip already holds the acknowledged fingerprint (steady
-        resends), nothing decodes at all."""
-        runtime = self._runtime(shard)
-        res = self._residents.get(shard)
-        if res is None or res.fp_hex != fp_hex:
-            try:
-                message = decode_body(body, PROTOCOL_V2)
-                instance = Instance.from_dict(message["instance"])
-            except (ProtocolError, KeyError, TypeError, ValueError):
-                return  # never let bookkeeping break the relayed reply
-            self._remember_base(shard, fp_hex, instance)
-            self._residents[shard] = ResidentShard(instance)
-        runtime.latest = (fp_hex, k)
-        self._enqueue_replication(shard, ("full", k))
-
     # -- dispatch / aggregate ops ---------------------------------------
     async def _dispatch(self, message: dict[str, Any]) -> dict[str, Any]:
         op = message.get("op")
-        if op in ("rebalance", "migrate"):
-            miss = self._misroute(str(message.get("shard", "default")))
-            if miss is not None:
-                return miss
         if op == "worker-status":
             return self._op_worker_status()
         if op == "worker-reset":
@@ -448,20 +268,7 @@ class RouterWorker(ClusterRouter):
     def _op_worker_reset(self, message: dict[str, Any]) -> dict[str, Any]:
         """Local-only state clear; the initiating worker already reset
         the backends once."""
-        shard = message.get("shard")
-        if shard is None:
-            self._bases.clear()
-            self._residents.clear()
-            self._shards.clear()
-            for link in self._links.values():
-                link.wire.forget(None)
-        else:
-            name = str(shard)
-            self._bases.pop(name, None)
-            self._residents.pop(name, None)
-            self._shards.pop(name, None)
-            for link in self._links.values():
-                link.wire.forget(name)
+        self._forget(message.get("shard"))
         return ok_response(op="worker-reset")
 
     async def _peer_call(

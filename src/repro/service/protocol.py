@@ -119,6 +119,7 @@ __all__ = [
     "read_frame_sync",
     "read_frame_sync_versioned",
     "read_frame_versioned",
+    "replicate_body",
     "unpack_payload",
     "write_frame_sync",
 ]
@@ -324,11 +325,39 @@ def peek_meta(body: bytes | bytearray | memoryview) -> dict[str, Any]:
     """Parse only the meta JSON of a v2 body — no array revival.
 
     O(meta), independent of the snapshot size: this is how the
-    data-plane router routes a full-snapshot ``rebalance`` by shard/k
-    and relays the raw bytes without ever materializing the instance.
+    router routes a full-snapshot ``rebalance`` by its shard and
+    relays the raw bytes without ever materializing the instance.
     Array values appear as their ``{"__nd__": ...}`` descriptors.
     """
     return _parse_meta(memoryview(body))[0]
+
+
+def replicate_body(body: bytes | bytearray | memoryview, shard: str) -> bytes:
+    """Re-address a v2 full-snapshot ``rebalance`` body as a
+    ``replicate`` of ``shard``.
+
+    The meta becomes ``{"op": "replicate", "shard": shard, "instance":
+    ...}`` with the request's own array descriptors, and the raw array
+    section is reused byte for byte: descriptor offsets are relative to
+    the section, so they stay valid behind a meta of any length.  This
+    is how the router ships a relayed full to the shard's standby
+    without decoding or re-encoding it.  Raises :class:`ProtocolError`
+    on a bad meta length, a missing ``instance`` object, or an array
+    descriptor that runs past the body.
+    """
+    view = memoryview(body)
+    message, section_start = _parse_meta(view)
+    instance = message.get("instance")
+    if not isinstance(instance, dict):
+        raise ProtocolError("binary body carries no instance object")
+    section = view[section_start:]
+    _revive_arrays(instance, section)  # bounds-checks every descriptor
+    meta = json.dumps(
+        {"op": "replicate", "shard": shard, "instance": instance},
+        separators=(",", ":"),
+    ).encode("utf-8")
+    pad = _align8(_META_LEN.size + len(meta)) - _META_LEN.size - len(meta)
+    return b"".join((_META_LEN.pack(len(meta)), meta, bytes(pad), section))
 
 
 def unpack_payload(body: bytes | bytearray | memoryview) -> dict[str, Any]:

@@ -40,8 +40,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.engine import snapshot_state
 from ..core.instance import Instance
-from ..core.rollhash import RollingFingerprint, fingerprint_state
+from ..core.rollhash import RollingFingerprint
 
 __all__ = ["FRAME_LOG_CAP", "Frame", "ResidentShard", "SolveResident"]
 
@@ -134,9 +135,9 @@ class ResidentShard:
         self.costs = np.array(instance.costs, dtype=np.float64)
         self.initial = np.array(instance.initial, dtype=np.int64)
         self.num_processors = int(instance.num_processors)
-        self.fp = fingerprint_state(
-            self.sizes, self.costs, self.initial, self.num_processors
-        )
+        # The state the request's fingerprint already computed (one
+        # O(n) hash per full snapshot); a copy, because this one rolls.
+        self.fp = snapshot_state(instance).copy()
         self.fp_hex = self.fp.digest().hex()
         self.pending: list[Frame] = []
         # True until the solve plane has been sent a full snapshot; a

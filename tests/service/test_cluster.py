@@ -31,6 +31,12 @@ from repro.service import (
     start_background,
     start_router_background,
 )
+from repro.service.protocol import (
+    PROTOCOL_V2,
+    frame_header,
+    pack_payload,
+    peek_meta,
+)
 from repro.service.resident import ResidentShard
 from repro.websim import (
     ComposedTraffic,
@@ -565,7 +571,7 @@ class _StubLink:
             raise out
         return out
 
-    async def solve(self, shard, k, instance, deadline_ms, moves_only=False):
+    async def relay(self, body, version):
         return await self._next()
 
     async def call(self, message):
@@ -597,13 +603,14 @@ class TestTransportOnlyFailover:
     def test_error_response_does_not_mark_backend_dead(self):
         router = _stub_router()
         owner = router.ring.owner("s")
-        bad = {"ok": False, "error": "bad request", "message": "nope"}
+        bad = (
+            {"ok": False, "error": "bad request", "message": "nope"},
+            b"raw", PROTOCOL_V2,
+        )
         for node in router.ring.nodes:
             router._links[node] = _StubLink()
         router._links[owner] = _StubLink([bad])
-        response = asyncio.run(
-            router._route_solve("s", 2, _instance(), None, False)
-        )
+        response = asyncio.run(router._relay_route("s", b"body", PROTOCOL_V2))
         assert response == bad
         assert router._dead == set()
         assert router.metrics.counters.get("router.backend_deaths", 0) == 0
@@ -615,17 +622,114 @@ class TestTransportOnlyFailover:
         router = _stub_router()
         owner = router.ring.owner("s")
         other = next(n for n in router.ring.nodes if n != owner)
-        ok = {"ok": True, "fingerprint": "ab"}
+        ok = ({"ok": True, "fingerprint": "ab"}, b"raw", PROTOCOL_V2)
         router._links[owner] = _StubLink(
             [ConnectionClosed("server closed the connection")]
         )
         router._links[other] = _StubLink([ok])
-        response = asyncio.run(
-            router._route_solve("s", 2, _instance(), None, False)
-        )
+        response = asyncio.run(router._relay_route("s", b"body", PROTOCOL_V2))
         assert response == ok
         assert router._dead == {owner}
         assert router.metrics.counters["router.failover_replays"] == 1
+
+
+class TestRelayPath:
+    """Full snapshots cross the router as the client's bytes; only the
+    resident tip and the standby stream are router state."""
+
+    def test_full_is_answered_with_the_backend_bytes(self):
+        router = _stub_router()
+        instance = _instance(seed=5)
+        fp_hex = snapshot_fingerprint(instance).hex()
+        body = pack_payload({
+            "op": "rebalance", "shard": "s", "k": 2,
+            "instance": instance.to_wire(),
+        })
+        raw = pack_payload({
+            "ok": True, "fingerprint": fp_hex, "mapping": instance.initial,
+        })
+        owner = router.ring.owner("s")
+        for node in router.ring.nodes:
+            router._links[node] = _StubLink()
+        router._links[owner] = _StubLink([(peek_meta(raw), raw, PROTOCOL_V2)])
+        out = asyncio.run(router._serve_raw(body, PROTOCOL_V2, bytearray()))
+        assert bytes(out) == frame_header(len(raw)) + raw
+        counters = router.metrics.counters
+        assert counters["router.relayed_fulls"] == counters["router.requests"] == 1
+        # The acknowledged full seeds the tip the next delta rebases on.
+        assert router._residents["s"].fp_hex == fp_hex
+
+    def test_malformed_full_is_answered_by_the_backend(self, cluster):
+        """The router does not validate a full: the backend's ``bad
+        request`` comes back as relayed bytes and seeds no tip."""
+        router, _ = cluster
+        wire = _instance(seed=9).to_wire()
+        wire["sizes"] = wire["sizes"].copy()
+        wire["sizes"][0] = np.nan
+        with ServiceClient(
+            router.host, router.port, protocol="binary", retries=0
+        ) as client:
+            response = client.call({
+                "op": "rebalance", "shard": "bad-full", "k": 2,
+                "instance": wire,
+            })
+            assert client.call({"op": "ping"})["ok"] is True
+            status = client.status()["router"]
+        assert response["ok"] is False
+        assert response["error"] == "bad request"
+        assert "finite" in response["message"]
+        assert status["metrics"]["counters"]["router.relayed_fulls"] == 1
+        assert "bad-full" not in status["residents"]
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_delta_off_the_tip_answers_unknown_base(self, seeded):
+        router = _stub_router()
+        if seeded:
+            router._residents["s"] = ResidentShard(_instance())
+        response = asyncio.run(router._rebalance_gated({
+            "op": "rebalance", "shard": "s", "k": 2,
+            "delta": {"base": "00" * 16, "idx": [], "sizes": [],
+                      "costs": [], "initial": []},
+        }))
+        assert response["ok"] is False
+        assert response["error"] == "unknown base"
+        assert router.metrics.counters["router.delta_misses"] == 1
+
+    def test_duplicate_of_the_tip_is_not_replicated_again(self, cluster):
+        """Two identical v2 fulls: both relayed, one replication — the
+        standby receives the first full's own bytes re-addressed and
+        exports the primary's fingerprint."""
+        router, handles = cluster
+        shard = "dup-tip"
+        standby = HashRing(("backend-0", "backend-1")).owners(shard, 2)[1]
+        instance = _instance(seed=8)
+        with ServiceClient(router.host, router.port, protocol="binary") as client:
+            first = client.call({
+                "op": "rebalance", "shard": shard, "k": 2,
+                "instance": instance.to_wire(),
+            })
+            second = client.call({
+                "op": "rebalance", "shard": shard, "k": 2,
+                "instance": instance.to_wire(),
+            })
+        assert first["ok"] and second["ok"]
+        assert first["fingerprint"] == second["fingerprint"]
+        # Replication is enqueued before a relayed response is written,
+        # so both decisions are in; wait for the drain task to finish.
+        runtime = router.router._shards[shard]
+        deadline = time.monotonic() + 10.0
+        while runtime.repl_queue or not runtime.repl_task.done():
+            assert time.monotonic() < deadline, "replication never drained"
+            time.sleep(0.02)
+        counters = _router_counters(router)
+        assert counters["router.relayed_fulls"] == 2
+        assert counters["router.replicated"] == 1
+        assert "router.replication_errors" not in counters
+        handle = handles[standby]
+        with ServiceClient(handle.host, handle.port) as probe:
+            exported = probe.call({"op": "migrate", "shard": shard})
+        assert exported["ok"] and exported["found"]
+        assert exported["fingerprint"] == first["fingerprint"]
 
 
 class TestTipRaces:

@@ -9,6 +9,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.instance import Instance, apply_delta, compute_delta, make_instance
 from repro.service.protocol import (
@@ -24,6 +26,7 @@ from repro.service.protocol import (
     read_frame_sync,
     read_frame_sync_versioned,
     read_frame_versioned,
+    replicate_body,
     unpack_payload,
     write_frame_sync,
 )
@@ -413,3 +416,77 @@ class TestResponses:
         assert response["ok"] is False
         assert response["error"] == "overloaded"
         assert response["retry_after_ms"] == 12.0
+
+
+_shards = st.text(min_size=0, max_size=12)  # any unicode, non-ASCII included
+
+
+@st.composite
+def _full_bodies(draw):
+    """A v2 full-snapshot ``rebalance`` body with random routing fields
+    and ``n >= 0`` sites; returns ``(body, shard, instance arrays)``."""
+    shard = draw(_shards)
+    n = draw(st.integers(0, 40))
+    m = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    instance = {
+        "sizes": rng.uniform(0.1, 9.0, n),
+        "costs": rng.uniform(0.5, 2.0, n),
+        "initial": rng.integers(0, m, n),
+        "num_processors": m,
+    }
+    message = {"op": "rebalance", "shard": shard,
+               "k": draw(st.integers(0, 2**31)), "instance": instance}
+    deadline = draw(st.none() | st.floats(1.0, 1e4))
+    if deadline is not None:
+        message["deadline_ms"] = deadline
+    if draw(st.booleans()):
+        message["moves_only"] = draw(st.booleans())
+    return pack_payload(message), shard, instance
+
+
+class TestReplicateBody:
+    """The router re-addresses a relayed full as the standby's
+    ``replicate`` without decoding or re-encoding its arrays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_full_bodies())
+    def test_readdressed_body_decodes_to_a_replicate(self, drawn):
+        body, shard, instance = drawn
+        out = unpack_payload(replicate_body(body, shard))
+        assert set(out) == {"op", "shard", "instance"}
+        assert out["op"] == "replicate"
+        assert out["shard"] == shard
+        assert out["instance"]["num_processors"] == instance["num_processors"]
+        for key in ("sizes", "costs", "initial"):
+            assert out["instance"][key].dtype == instance[key].dtype
+            np.testing.assert_array_equal(out["instance"][key], instance[key])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_full_bodies(), st.data())
+    def test_truncated_body_rejected(self, drawn, data):
+        body = drawn[0]
+        cut = data.draw(st.integers(0, len(body) - 1))
+        with pytest.raises(ProtocolError):
+            replicate_body(body[:cut], "s")
+
+    @settings(max_examples=60, deadline=None)
+    @given(_full_bodies(), st.data())
+    def test_bad_meta_length_rejected(self, drawn, data):
+        """A declared meta length shorter than the meta cuts its JSON
+        open; one longer than the body overruns it."""
+        body = drawn[0]
+        (meta_len,) = struct.unpack_from("<I", body)
+        bad = data.draw(
+            st.integers(0, meta_len - 1)
+            | st.integers(len(body) - 3, 2**32 - 1)
+        )
+        with pytest.raises(ProtocolError):
+            replicate_body(struct.pack("<I", bad) + body[4:], "s")
+
+    def test_body_without_an_instance_rejected(self):
+        body = pack_payload({"op": "rebalance", "shard": "s", "k": 2,
+                             "delta": {"idx": np.arange(3)}})
+        with pytest.raises(ProtocolError, match="instance"):
+            replicate_body(body, "s")

@@ -10,10 +10,13 @@ solve of the materialized snapshot answers.
 
 from __future__ import annotations
 
+import socket
+
 import numpy as np
 import pytest
 
-from repro.core import make_instance
+from repro.core import make_instance, rollhash
+from repro.core.engine import snapshot_fingerprint
 from repro.core.partition import m_partition_rebalance
 from repro.service import (
     ChurnStreamConfig,
@@ -21,6 +24,11 @@ from repro.service import (
     ServiceClient,
     run_churn_stream,
     start_background,
+)
+from repro.service.protocol import (
+    PROTOCOL_V2,
+    encode_frame,
+    read_frame_sync_versioned,
 )
 from repro.service.resident import ResidentShard
 
@@ -187,6 +195,63 @@ class TestResidentDifferential:
             response = _send_full(client, res, "ub", k, True)
             assert response["ok"]
             assert response["fingerprint"] == res.fp_hex
+
+
+class TestOneHashPerFull:
+    """A full snapshot is hashed once: the resident it seeds starts from
+    the state the request's fingerprint computed."""
+
+    @pytest.mark.parametrize("op", ["rebalance", "replicate"])
+    def test_one_fingerprint_state_per_full_request(
+        self, server, monkeypatch, op
+    ):
+        inst = make_instance(
+            sizes=np.arange(1.0, 41.0), initial=np.arange(40) % 4,
+            num_processors=4,
+        )
+        message = {"op": op, "shard": f"one-{op}", "instance": inst.to_wire()}
+        if op == "rebalance":
+            message["k"] = 2
+        frame = encode_frame(message, version=PROTOCOL_V2)
+        expected = rollhash.instance_fingerprint(inst).hex()
+        calls = []
+        real = rollhash.fingerprint_state
+
+        def counting(*args):
+            calls.append(args[0].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(rollhash, "fingerprint_state", counting)
+        with socket.create_connection((server.host, server.port)) as sock:
+            sock.sendall(frame)
+            response, _ = read_frame_sync_versioned(sock)
+        assert response["ok"] is True, response
+        assert response["fingerprint"] == expected
+        assert calls == [40]
+        resident = server.server._residents[f"one-{op}"]
+        assert resident.fp_hex == response["fingerprint"]
+
+    def test_seeded_resident_rolls_like_a_fresh_hash(self):
+        inst = make_instance(
+            sizes=[3.0, 2.0, 5.0, 1.0, 4.0], initial=[0, 0, 1, 1, 2],
+            num_processors=3,
+        )
+        digest = snapshot_fingerprint(inst)  # memoizes the state
+        res = ResidentShard(inst)
+        assert res.fp_hex == digest.hex()
+        frame, fp = res.preview({
+            "base": res.fp_hex, "idx": np.array([1, 4]),
+            "sizes": np.array([7.0, 0.5]), "costs": np.array([1.0, 2.0]),
+            "initial": np.array([2, 0]),
+        })
+        res.commit(frame, fp)
+        fresh = rollhash.fingerprint_state(
+            res.sizes, res.costs, res.initial, res.num_processors
+        )
+        assert res.fp_hex == fresh.digest().hex() != digest.hex()
+        # The instance's memoized state did not roll with the resident.
+        assert snapshot_fingerprint(inst) == digest
+        assert rollhash.instance_fingerprint(inst) == digest
 
 
 class TestChurnStreamLoadgen:

@@ -217,36 +217,51 @@ class TestRebalanceOp:
             assert client.call({"op": "ping"})["ok"] is True
 
     def test_admission_rejects_when_queue_full(self):
-        """naive server, queue depth 1: while a slow solve occupies the
+        """naive server, queue depth 1: while a held solve occupies the
         solver, the queue holds one follow-up and the rest bounce with
-        ``overloaded`` + a retry hint."""
-        rng = np.random.default_rng(9)
-        big = make_instance(
-            sizes=rng.uniform(1.0, 9.0, 8000),
-            initial=rng.integers(0, 32, 8000),
-            num_processors=32,
-        )
-        config = ServerConfig.naive(max_queue=1)
+        ``overloaded`` + a retry hint.  The solve is held open by
+        ``solve_delay_s`` and every step is sequenced on server state
+        (batches started, ``health`` queue depth), not on how long a
+        solve happens to take on this host."""
+        big = _instance(seed=9, n=400, m=8)
+        config = ServerConfig.naive(max_queue=1, solve_delay_s=0.5)
 
-        async def go(host, port):
+        async def until(predicate, timeout=30.0):
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + timeout
+            while not await predicate():
+                assert loop.time() < deadline, "server never reached the state"
+                await asyncio.sleep(0.002)
+
+        async def go(handle):
+            probe = AsyncServiceClient(handle.host, handle.port)
             clients = [
-                AsyncServiceClient(host, port, retries=0) for _ in range(4)
+                AsyncServiceClient(handle.host, handle.port, retries=0)
+                for _ in range(4)
             ]
+
+            async def solving():
+                return handle.server.metrics.counters.get("service.batches", 0) >= 1
+
+            async def queued():
+                return (await probe.call({"op": "health"}))["queue_depth"] == 1
+
             try:
                 slow = asyncio.ensure_future(clients[0].rebalance(big, 4))
-                # let the batcher drain the slow request into the solver
-                await asyncio.sleep(0.05)
+                await until(solving)
+                waiting = asyncio.ensure_future(clients[1].rebalance(big, 4))
+                await until(queued)
                 rest = await asyncio.gather(
-                    *(c.rebalance(big, 4) for c in clients[1:]),
+                    *(c.rebalance(big, 4) for c in clients[2:]),
                     return_exceptions=True,
                 )
-                return await slow, rest
+                return await slow, [await waiting, *rest]
             finally:
-                for c in clients:
+                for c in (probe, *clients):
                     await c.close()
 
         with start_background(config) as handle:
-            first, rest = asyncio.run(go(handle.host, handle.port))
+            first, rest = asyncio.run(asyncio.wait_for(go(handle), 60.0))
         _same_decision(first, m_partition_rebalance(big, 4))
         rejections = [r for r in rest if isinstance(r, Overloaded)]
         served = [r for r in rest if not isinstance(r, Exception)]
